@@ -1,82 +1,7 @@
 """Multi-agent text-to-SQL: schema pruning, stepwise generation, execution repair."""
 
-from .backend import (
-    BackendUnavailable,
-    ChatRequest,
-    ChatResponse,
-    HttpBackend,
-    ScriptedBackend,
-    ScriptMiss,
-)
-from .clauses import ClauseSet, UnsupportedSyntax, parse_to_clause_set, render_clause_set
-from .datasets import (
-    Benchmark,
-    DatabaseRegistry,
-    MalformedItem,
-    MissingDatabase,
-    Task,
-    load_benchmark,
-)
-from .decomposer import (
-    DecompositionResult,
-    DecompositionStep,
-    NoSqlFound,
-    build_decomposer_prompt,
-    parse_decomposition,
-)
-from .evaluation import (
-    ErrorClass,
-    EvalReport,
-    ItemScore,
-    build_report,
-    classify_error,
-    exact_match,
-    exec_match,
-    score_item,
-    ves_ratio,
-    ves_score,
-)
-from .execution import (
-    ExecStatus,
-    ExecutionOutcome,
-    execute_sql,
-    has_top_level_order_by,
-    normalize_rows,
-    rows_equal,
-)
-from .pipeline import (
-    InstructionRecord,
-    Journal,
-    MissingGold,
-    Pipeline,
-    PipelineConfig,
-    PipelineState,
-    export_instruction_data,
-)
-from .refiner import RefineAttempt, build_refiner_prompt, diagnose, refine_loop
-from .schema import (
-    ColumnSchema,
-    DatabaseSchema,
-    ForeignKey,
-    TableSchema,
-    UnknownColumn,
-    UnreadableDatabase,
-    estimate_tokens,
-    introspect,
-    render_foreign_keys,
-    render_schema_description,
-    render_table_blocks,
-    sample_column_values,
-)
-from .selector import (
-    AllTablesDropped,
-    NoJsonFound,
-    PrunedSchema,
-    PruningDecision,
-    apply_pruning,
-    build_selector_prompt,
-    needs_pruning,
-    parse_pruning_decision,
-)
+from .backend import ScriptedBackend
+from .datasets import DatabaseRegistry, Task
+from .pipeline import Pipeline, PipelineConfig
 
 __version__ = "0.1.0"

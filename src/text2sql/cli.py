@@ -20,6 +20,7 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     PipelineState,
+    decoder,
     export_instruction_data,
 )
 
@@ -166,7 +167,7 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
     state = pipe.run_question(task)
 
     if trace_path:
-        Path(trace_path).write_text(json.dumps(state.to_dict(), indent=2,
+        Path(trace_path).write_text(json.dumps(state, default=vars, indent=2,
                                                sort_keys=True), encoding="utf-8")
     if state.error:
         click.echo(f"error: {state.error}", err=True)
@@ -256,8 +257,8 @@ def _load_predictions(path: str) -> dict[str, str]:
         if not line:
             continue
         try:
-            state = PipelineState.from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            state = decoder(PipelineState)(json.loads(line))
+        except (TypeError, ValueError) as exc:
             raise click.UsageError(f"unparseable predictions line: {exc}")
         predictions[state.task.task_id] = state.final_sql
     if not predictions:
@@ -333,7 +334,7 @@ def cmd_export_sft(journal_path, benchmark_name, items_path, db_root, out_path,
 
     with open(out_path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            handle.write(json.dumps(record, default=vars, sort_keys=True) + "\n")
 
     counts: dict[str, int] = {}
     for record in records:

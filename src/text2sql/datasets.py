@@ -40,27 +40,6 @@ class Task:
         if not self.question:
             raise ValueError("task question must be nonempty")
 
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "db_id": self.db_id,
-            "question": self.question,
-            "evidence": self.evidence,
-            "gold_sql": self.gold_sql,
-            "difficulty": self.difficulty,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Task":
-        return cls(
-            task_id=str(data["task_id"]),
-            db_id=data["db_id"],
-            question=data["question"],
-            evidence=data.get("evidence", ""),
-            gold_sql=data.get("gold_sql"),
-            difficulty=data.get("difficulty", "unlabeled"),
-        )
-
 
 class DatabaseRegistry:
     """db_id -> database file plus a cache of introspected schemas.

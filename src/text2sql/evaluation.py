@@ -14,6 +14,7 @@ from .execution import (
     DEFAULT_TIMEOUT,
     ExecStatus,
     ExecutionOutcome,
+    OutcomeSummary,
     execute_sql,
     has_top_level_order_by,
     rows_equal,
@@ -32,19 +33,6 @@ class ErrorClass(str, Enum):
     SCHEMA_LINKING_ERROR = "SCHEMA_LINKING_ERROR"
     EMPTY_RESULT = "EMPTY_RESULT"
     WRONG_RESULT = "WRONG_RESULT"
-
-
-@dataclass(frozen=True)
-class OutcomeSummary:
-    status: str
-    row_count: Optional[int] = None
-    error_message: str = ""
-
-    @classmethod
-    def from_outcome(cls, outcome: ExecutionOutcome) -> "OutcomeSummary":
-        rows = None if outcome.rows is None else len(outcome.rows)
-        return cls(status=outcome.status.value, row_count=rows,
-                   error_message=outcome.error_message)
 
 
 @dataclass
@@ -124,15 +112,6 @@ def ves_ratio(pred_sql: str, gold_sql: str, db_path: str,
         return 1.0
     pred_med = max(pred_med, 1e-9)
     return (gold_med / pred_med) ** 0.5
-
-
-def ves_score(pred_sql: str, gold_sql: str, db_path: str,
-              repeats: int = VES_REPEATS, run_timer: Optional[RunTimer] = None,
-              timeout: float = DEFAULT_TIMEOUT) -> float:
-    """Per-item efficiency ratio; 0 when the prediction does not match."""
-    if not exec_match(pred_sql, gold_sql, db_path, timeout=timeout):
-        return 0.0
-    return ves_ratio(pred_sql, gold_sql, db_path, repeats=repeats, run_timer=run_timer)
 
 
 def exact_match(pred_sql: str, gold_sql: str) -> Optional[bool]:
@@ -217,8 +196,8 @@ class EvalReport:
                     "error_class": s.error_class.value,
                     "difficulty": s.difficulty,
                     "review_semantic_correct": s.review_semantic_correct,
-                    "pred_status": s.pred_outcome.status,
-                    "gold_status": s.gold_outcome.status,
+                    "pred_status": s.pred_outcome.status.value,
+                    "gold_status": s.gold_outcome.status.value,
                 }
                 for s in self.items
             ],

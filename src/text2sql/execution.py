@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+import os
 import sqlite3
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 DEFAULT_TIMEOUT = 30.0
-NUMERIC_REL_TOLERANCE = 1e-6
+ROWS_PREVIEW_LIMIT = 20
 
 
 class ExecStatus(str, Enum):
@@ -39,6 +42,44 @@ class ExecutionOutcome:
             raise ValueError("EMPTY_RESULT outcome carries rows")
 
 
+@dataclass(frozen=True)
+class OutcomeSummary:
+    """The recorded form of an outcome, as traces and scores keep it.
+
+    ``rows_preview`` holds at most ``ROWS_PREVIEW_LIMIT`` rows, with blobs
+    turned into ``0x`` hex so the summary is JSON-safe as it stands.
+    """
+
+    status: ExecStatus
+    row_count: Optional[int] = None
+    rows_preview: Optional[tuple[tuple, ...]] = None
+    error_message: str = ""
+    exception_class: str = ""
+    elapsed: float = 0.0
+
+    @classmethod
+    def from_outcome(cls, outcome: ExecutionOutcome) -> "OutcomeSummary":
+        count = preview = None
+        if outcome.rows is not None:
+            count = len(outcome.rows)
+            preview = tuple(tuple("0x" + v.hex() if isinstance(v, bytes) else v
+                                  for v in row)
+                            for row in outcome.rows[:ROWS_PREVIEW_LIMIT])
+        return cls(outcome.status, count, preview, outcome.error_message,
+                   outcome.exception_class, outcome.elapsed)
+
+
+def connect_readonly(db_path: str, **kwargs) -> sqlite3.Connection:
+    """Open a database file read-only; the path is percent-quoted into the URI."""
+    return sqlite3.connect(_readonly_uri(os.getcwd(), db_path), uri=True, **kwargs)
+
+
+@functools.lru_cache(maxsize=1024)
+def _readonly_uri(cwd: str, db_path: str) -> str:
+    # resolved once per (cwd, path): resolving costs a system call per component
+    return (Path(cwd) / db_path).resolve().as_uri() + "?mode=ro"
+
+
 _SCHEMA_ERROR_MARKS = ("no such table", "no such column", "ambiguous column name")
 
 
@@ -63,8 +104,7 @@ def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT,
     start = clock()
     timed_out = threading.Event()
     try:
-        conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True,
-                               check_same_thread=False)
+        conn = connect_readonly(db_path, check_same_thread=False)
     except sqlite3.Error as exc:
         return ExecutionOutcome(
             status=ExecStatus.OTHER_ERROR,

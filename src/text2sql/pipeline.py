@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import logging
 import threading
 import time
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .backend import BackendUnavailable, ChatResponse, ScriptMiss
 from .datasets import DatabaseRegistry, Task
-from .decomposer import NoSqlFound, build_decomposer_prompt, parse_decomposition
+from .decomposer import (
+    DecompositionStep,
+    NoSqlFound,
+    build_decomposer_prompt,
+    parse_decomposition,
+)
 from .evaluation import exec_match
-from .execution import ExecStatus, ExecutionOutcome
 from .refiner import RefineAttempt, refine_loop
 from .schema import render_foreign_keys, render_schema_description, render_table_blocks
 from .selector import (
@@ -33,7 +42,9 @@ SELECTOR = "selector"
 DECOMPOSER = "decomposer"
 REFINER = "refiner"
 
-ROWS_PREVIEW_LIMIT = 20
+# run_question records a transient backend failure with one of these prefixes;
+# a resumed batch runs such tasks again and skips every other journaled state.
+RETRIED_ERRORS = ("backend failure:", "refiner backend failure:")
 
 
 class MissingGold(Exception):
@@ -61,124 +72,77 @@ class LlmCall:
     completion_tokens: int
     latency: float
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LlmCall":
-        return cls(**data)
-
 
 @dataclass
 class PruningTrace:
-    verdicts: dict
+    verdicts: dict[str, str | list[str]]
     selection: dict[str, list[str]]
     warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"verdicts": self.verdicts, "selection": self.selection,
-                "warnings": self.warnings}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PruningTrace":
-        return cls(verdicts=dict(data["verdicts"]),
-                   selection={k: list(v) for k, v in data["selection"].items()},
-                   warnings=list(data.get("warnings", [])))
-
-
-def _json_safe(value):
-    if isinstance(value, bytes):
-        return "0x" + value.hex()
-    return value
-
-
-def _outcome_to_dict(outcome: ExecutionOutcome) -> dict:
-    preview = None
-    row_count = None
-    if outcome.rows is not None:
-        row_count = len(outcome.rows)
-        preview = [[_json_safe(v) for v in r] for r in outcome.rows[:ROWS_PREVIEW_LIMIT]]
-    return {
-        "status": outcome.status.value,
-        "row_count": row_count,
-        "rows_preview": preview,
-        "error_message": outcome.error_message,
-        "exception_class": outcome.exception_class,
-        "elapsed": outcome.elapsed,
-    }
-
-
-def _outcome_from_dict(data: Mapping) -> ExecutionOutcome:
-    status = ExecStatus(data["status"])
-    rows = None
-    if data.get("rows_preview") is not None:
-        rows = tuple(tuple(r) for r in data["rows_preview"])
-    return ExecutionOutcome(
-        status=status,
-        rows=rows,
-        error_message=data.get("error_message", ""),
-        exception_class=data.get("exception_class", ""),
-        elapsed=data.get("elapsed", 0.0),
-    )
 
 
 @dataclass
 class PipelineState:
+    """One question's trace; its fields, recursively, are the keys of a journal line."""
+
     task: Task
     final_sql: str = ""
     pruning: Optional[PruningTrace] = None
-    steps: list[tuple[str, str]] = field(default_factory=list)
+    steps: list[DecompositionStep] = field(default_factory=list)
     refine_attempts: list[RefineAttempt] = field(default_factory=list)
     llm_calls: list[LlmCall] = field(default_factory=list)
     error: Optional[str] = None
     elapsed: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task.to_dict(),
-            "final_sql": self.final_sql,
-            "pruning": self.pruning.to_dict() if self.pruning else None,
-            "steps": [{"sub_question": q, "sub_sql": s} for q, s in self.steps],
-            "refine_attempts": [
-                {
-                    "round": a.round,
-                    "input_sql": a.input_sql,
-                    "outcome": _outcome_to_dict(a.outcome),
-                    "corrected_sql": a.corrected_sql,
-                }
-                for a in self.refine_attempts
-            ],
-            "llm_calls": [c.to_dict() for c in self.llm_calls],
-            "error": self.error,
-            "elapsed": self.elapsed,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+def _expect(value, kind) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {kind}, got {value!r}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PipelineState":
-        pruning = (PruningTrace.from_dict(data["pruning"])
-                   if data.get("pruning") else None)
-        attempts = [
-            RefineAttempt(
-                round=a["round"],
-                input_sql=a["input_sql"],
-                outcome=_outcome_from_dict(a["outcome"]),
-                corrected_sql=a.get("corrected_sql"),
-            )
-            for a in data.get("refine_attempts", [])
-        ]
-        return cls(
-            task=Task.from_dict(data["task"]),
-            final_sql=data.get("final_sql", ""),
-            pruning=pruning,
-            steps=[(s["sub_question"], s["sub_sql"]) for s in data.get("steps", [])],
-            refine_attempts=attempts,
-            llm_calls=[LlmCall.from_dict(c) for c in data.get("llm_calls", [])],
-            error=data.get("error"),
-            elapsed=data.get("elapsed", 0.0),
-        )
+
+@functools.cache
+def decoder(tp) -> Callable:
+    """The function that rebuilds a ``tp`` from what ``json.dumps(default=vars)`` wrote.
+
+    It raises TypeError or ValueError when a value does not fit the type;
+    missing dataclass fields take their defaults, unknown keys are ignored.
+    """
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        parts = [(f.name, decoder(hints[f.name])) for f in dataclasses.fields(tp)]
+
+        def record(value):
+            _expect(value, dict)
+            return tp(**{k: dec(value[k]) for k, dec in parts if k in value})
+        return record
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        options = [decoder(arg) for arg in args]
+
+        def union(value):
+            for dec in options:
+                try:
+                    return dec(value)
+                except (TypeError, ValueError):
+                    pass
+            raise TypeError(f"{value!r} fits none of {tp}")
+        return union
+    if isinstance(origin, type) and issubclass(origin, Enum):
+        return origin
+    if origin in (list, tuple, dict):
+        item = decoder((args[-1] if origin is dict else args[0]) if args else object)
+
+        def container(value):
+            _expect(value, dict if origin is dict else list)
+            if origin is dict:
+                return {k: item(v) for k, v in value.items()}
+            return origin(map(item, value))
+        return container
+    kind = (int, float) if origin is float else origin
+
+    def scalar(value):
+        _expect(value, kind)
+        return value
+    return scalar
 
 
 class Pipeline:
@@ -246,12 +210,12 @@ class Pipeline:
                 model_name=config.model_name)
             response = self._complete(DECOMPOSER, request, state.llm_calls)
             decomposition = parse_decomposition(response.text)
-            state.steps = [(s.sub_question, s.sub_sql) for s in decomposition.steps]
+            state.steps = list(decomposition.steps)
 
-            recorder = _RefinerRecorder(self, state.llm_calls)
             try:
                 final_sql, attempts = refine_loop(
-                    recorder, db_path, task.question, task.evidence,
+                    lambda request: self._complete(REFINER, request, state.llm_calls),
+                    db_path, task.question, task.evidence,
                     desc_str, fk_str, decomposition.final_sql,
                     max_rounds=config.max_rounds, timeout=config.timeout,
                     clock=self.clock, max_output_tokens=config.max_output_tokens,
@@ -280,14 +244,17 @@ class Pipeline:
 
         Results come back in input order regardless of completion order. With a
         journal path, finished states are appended as JSON lines and reruns skip
-        task ids already present.
+        task ids already present, except those that failed on the backend
+        (``RETRIED_ERRORS``); their new state is appended after the old one.
         """
         workers = parallelism or self.config.parallelism
         if workers < 1:
             raise ValueError("parallelism must be >= 1")
 
         journal = Journal(journal_path) if journal_path else None
-        done: dict[str, PipelineState] = journal.load() if journal else {}
+        done = {task_id: state
+                for task_id, state in (journal.load() if journal else {}).items()
+                if not (state.error or "").startswith(RETRIED_ERRORS)}
 
         pending = [t for t in tasks if t.task_id not in done]
         results: dict[str, PipelineState] = dict(done)
@@ -308,18 +275,6 @@ class Pipeline:
         return [results[t.task_id] for t in tasks]
 
 
-class _RefinerRecorder:
-    """Backend wrapper that records refiner calls into the pipeline trace."""
-
-    def __init__(self, pipeline: Pipeline, calls: list[LlmCall]):
-        self._pipeline = pipeline
-        self._calls = calls
-        self.context_window = pipeline.backend.context_window
-
-    def complete(self, request) -> ChatResponse:
-        return self._pipeline._complete(REFINER, request, self._calls)
-
-
 class Journal:
     """Append-only JSONL trace store keyed by task id; the resume point for batches."""
 
@@ -328,27 +283,32 @@ class Journal:
         self._lock = threading.Lock()
 
     def load(self) -> dict[str, PipelineState]:
+        """The last state per task id; lines that do not decode are skipped."""
         states: dict[str, PipelineState] = {}
         if not self.path.exists():
             return states
+        skipped = 0
+        decode = decoder(PipelineState)
         with open(self.path, encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
-                    state = PipelineState.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError) as exc:
-                    logger.warning("skipping corrupt journal line: %s", exc)
+                    state = decode(json.loads(line))
+                except (TypeError, ValueError):  # JSONDecodeError is a ValueError
+                    skipped += 1
                     continue
                 states[state.task.task_id] = state
+        if skipped:
+            logger.warning("skipped %d journal line(s) that do not decode in %s",
+                           skipped, self.path)
         return states
 
     def append(self, state: PipelineState) -> None:
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(state.to_json() + "\n")
+                handle.write(json.dumps(state, default=vars, sort_keys=True) + "\n")
                 handle.flush()
 
 
@@ -361,9 +321,6 @@ class InstructionRecord:
     difficulty: str
     passed: bool = True
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
 
 REFINER_TARGET_NOTE = "target is the post-correction response"

@@ -1,4 +1,4 @@
-"""Execute-and-fix loop: diagnose a candidate SQL and prompt for corrections."""
+"""Execute-and-fix loop: run a candidate SQL and prompt for corrections."""
 
 from __future__ import annotations
 
@@ -6,9 +6,15 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .backend import ChatRequest
+from .backend import ChatRequest, ChatResponse
 from .decomposer import extract_last_sql
-from .execution import DEFAULT_TIMEOUT, ExecStatus, ExecutionOutcome, execute_sql
+from .execution import (
+    DEFAULT_TIMEOUT,
+    ExecStatus,
+    ExecutionOutcome,
+    OutcomeSummary,
+    execute_sql,
+)
 from .prompts import REFINER_TEMPLATE, fill
 
 MAX_ROUNDS = 3
@@ -21,13 +27,8 @@ EMPTY_RESULT_CLASS = "EmptyResult"
 class RefineAttempt:
     round: int
     input_sql: str
-    outcome: ExecutionOutcome
+    outcome: OutcomeSummary
     corrected_sql: Optional[str] = None
-
-
-def diagnose(outcome: ExecutionOutcome) -> bool:
-    """True when the outcome calls for a correction; OK with rows never does."""
-    return outcome.status is not ExecStatus.OK
 
 
 def build_refiner_prompt(question: str, evidence: str, schema_text: str,
@@ -55,7 +56,8 @@ def build_refiner_prompt(question: str, evidence: str, schema_text: str,
                        model_name=model_name)
 
 
-def refine_loop(backend, db_path: str, question: str, evidence: str,
+def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
+                db_path: str, question: str, evidence: str,
                 schema_text: str, fk_text: str, initial_sql: str,
                 max_rounds: int = MAX_ROUNDS, timeout: float = DEFAULT_TIMEOUT,
                 clock: Callable[[], float] = time.monotonic,
@@ -63,9 +65,11 @@ def refine_loop(backend, db_path: str, question: str, evidence: str,
                 model_name: str = "") -> tuple[str, list[RefineAttempt]]:
     """Execute, and while faulty, ask for corrections up to ``max_rounds`` times.
 
-    Returns the last candidate SQL whether or not it ultimately succeeded. A
-    response from which no correction can be parsed ends the loop with the
-    prior candidate. BackendUnavailable propagates to the caller.
+    Every outcome except OK with rows calls for a correction, which
+    ``complete`` is asked for. Returns the last candidate SQL whether or not it
+    ultimately succeeded. A response from which no correction can be parsed
+    ends the loop with the prior candidate. BackendUnavailable propagates to
+    the caller.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -75,16 +79,16 @@ def refine_loop(backend, db_path: str, question: str, evidence: str,
     while True:
         rnd = len(attempts) + 1
         outcome = execute_sql(db_path, sql, timeout=timeout, clock=clock)
-        if not diagnose(outcome) or corrections >= max_rounds:
-            attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=outcome))
+        summary = OutcomeSummary.from_outcome(outcome)
+        if outcome.status is ExecStatus.OK or corrections >= max_rounds:
+            attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary))
             return sql, attempts
         request = build_refiner_prompt(question, evidence, schema_text, fk_text,
                                        sql, outcome,
                                        max_output_tokens=max_output_tokens,
                                        model_name=model_name)
-        response = backend.complete(request)
-        corrected = extract_last_sql(response.text)
-        attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=outcome,
+        corrected = extract_last_sql(complete(request).text)
+        attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary,
                                       corrected_sql=corrected))
         if corrected is None:
             return sql, attempts

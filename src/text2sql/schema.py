@@ -7,14 +7,14 @@ import math
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
+
+from .execution import connect_readonly
 
 logger = logging.getLogger(__name__)
 
 MAX_LITERAL_LEN = 50
 DEFAULT_SAMPLE_K = 5
-
-TokenEstimator = Callable[[str], int]
 
 
 class UnreadableDatabase(Exception):
@@ -53,9 +53,6 @@ class TableSchema:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names in table {self.name!r}")
 
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
     def column(self, name: str) -> ColumnSchema:
         for c in self.columns:
             if c.name.lower() == name.lower():
@@ -92,9 +89,6 @@ class DatabaseSchema:
             for tbl, col in ((fk.from_table, fk.from_column), (fk.to_table, fk.to_column)):
                 if not self.has_column(tbl, col):
                     raise ValueError(f"foreign key endpoint {tbl}.{col} does not exist")
-
-    def table_names(self) -> list[str]:
-        return [t.name for t in self.tables]
 
     def table(self, name: str) -> TableSchema:
         for t in self.tables:
@@ -188,24 +182,12 @@ def _q(identifier: str) -> str:
     return identifier.replace('"', '""')
 
 
-def sample_column_values(db: DatabaseSchema, table: str, column: str,
-                         k: int = DEFAULT_SAMPLE_K) -> list[str]:
-    """Re-sample representative cell values for one column of an introspected database."""
-    tbl = db.table(table)
-    col = tbl.column(column)
-    conn = _open_readonly(db.db_path)
-    try:
-        return _sample_values(conn, tbl.name, col.name, col.declared_type, k)
-    finally:
-        conn.close()
-
-
 def _open_readonly(db_path: str) -> sqlite3.Connection:
     path = Path(db_path)
     if not path.exists():
         raise UnreadableDatabase(f"database file not found: {db_path}")
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = connect_readonly(db_path)
         conn.execute("SELECT 1 FROM sqlite_master LIMIT 1")
     except sqlite3.Error as exc:
         raise UnreadableDatabase(f"cannot open {db_path}: {exc}") from exc
@@ -291,36 +273,13 @@ def _fold_descriptions(descriptions: Mapping[str, Mapping[str, str]]) -> dict[tu
     return out
 
 
-Selection = Mapping[str, Sequence[str]]
-
-
-def _retained(db: DatabaseSchema, selection: Optional[Selection]):
-    """Yield (table, retained column list) pairs, validating selection names."""
-    if selection is None:
-        for t in db.tables:
-            yield t, list(t.columns)
-        return
-    lowered = {name.lower(): cols for name, cols in selection.items()}
-    for name in selection:
-        if not db.has_table(name):
-            raise UnknownColumn(f"selection names unknown table: {name}")
-    for t in db.tables:
-        if t.name.lower() not in lowered:
-            continue
-        wanted = {c.lower() for c in lowered[t.name.lower()]}
-        for c in lowered[t.name.lower()]:
-            if not t.has_column(c):
-                raise UnknownColumn(f"selection names unknown column: {t.name}.{c}")
-        yield t, [c for c in t.columns if c.name.lower() in wanted]
-
-
-def render_table_blocks(db: DatabaseSchema, selection: Optional[Selection] = None) -> str:
+def render_table_blocks(db: DatabaseSchema) -> str:
     """The ``# Table:`` blocks used as the schema section of agent prompts."""
     blocks = []
-    for table, cols in _retained(db, selection):
+    for table in db.tables:
         lines = [f"# Table: {table.name}", "["]
         entries = []
-        for col in cols:
+        for col in table.columns:
             desc = col.description or col.name
             if col.value_examples:
                 examples = ", ".join(col.value_examples)
@@ -333,33 +292,19 @@ def render_table_blocks(db: DatabaseSchema, selection: Optional[Selection] = Non
     return "\n".join(blocks)
 
 
-def render_foreign_keys(db: DatabaseSchema, selection: Optional[Selection] = None) -> str:
-    """Foreign-key lines, restricted to keys whose both endpoints survive pruning."""
-    if selection is None:
-        keep = None
-    else:
-        keep = {t.name.lower(): {c.name.lower() for c in cols}
-                for t, cols in _retained(db, selection)}
-    lines = []
-    for fk in db.foreign_keys:
-        if keep is not None:
-            if fk.from_column.lower() not in keep.get(fk.from_table.lower(), set()):
-                continue
-            if fk.to_column.lower() not in keep.get(fk.to_table.lower(), set()):
-                continue
-        lines.append(f"{fk.from_table}.`{fk.from_column}` = {fk.to_table}.`{fk.to_column}`")
-    return "\n".join(lines)
+def render_foreign_keys(db: DatabaseSchema) -> str:
+    """Foreign-key lines; a pruned schema keeps only keys whose endpoints survive."""
+    return "\n".join(f"{fk.from_table}.`{fk.from_column}` = {fk.to_table}.`{fk.to_column}`"
+                     for fk in db.foreign_keys)
 
 
-def render_schema_description(db: DatabaseSchema, selection: Optional[Selection] = None) -> str:
+def render_schema_description(db: DatabaseSchema) -> str:
     """Full schema description: table blocks plus the foreign-key section."""
-    return (render_table_blocks(db, selection)
+    return (render_table_blocks(db)
             + "\n[Foreign keys]\n"
-            + render_foreign_keys(db, selection))
+            + render_foreign_keys(db))
 
 
-def estimate_tokens(text: str, estimator: Optional[TokenEstimator] = None) -> int:
-    """Token-count estimate for prompt budgeting; default is ceil(utf8_bytes / 4)."""
-    if estimator is not None:
-        return estimator(text)
+def estimate_tokens(text: str) -> int:
+    """Token-count estimate for prompt budgeting: ceil(utf8_bytes / 4)."""
     return math.ceil(len(text.encode("utf-8")) / 4)

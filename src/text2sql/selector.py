@@ -12,7 +12,6 @@ from .prompts import SELECTOR_TEMPLATE, fill
 from .schema import (
     DatabaseSchema,
     TableSchema,
-    TokenEstimator,
     estimate_tokens,
     render_foreign_keys,
     render_table_blocks,
@@ -82,22 +81,11 @@ class PrunedSchema:
 
 
 def needs_pruning(rendered_schema: str, backend_context_window: int,
-                  fraction: float = PRUNE_FRACTION,
-                  estimator: Optional[TokenEstimator] = None) -> bool:
+                  fraction: float = PRUNE_FRACTION) -> bool:
     """True when the schema text is too large a share of the model's context window."""
     if backend_context_window <= 0:
         raise ValueError("context window must be positive")
-    return estimate_tokens(rendered_schema, estimator) > fraction * backend_context_window
-
-
-def column_stats_exceed(db: DatabaseSchema, total_columns_limit: int,
-                        avg_columns_limit: float) -> bool:
-    """Alternative size gate based on column counts; thresholds are caller-supplied."""
-    counts = [len(t.columns) for t in db.tables]
-    if not counts:
-        return False
-    total = sum(counts)
-    return total > total_columns_limit or total / len(counts) > avg_columns_limit
+    return estimate_tokens(rendered_schema) > fraction * backend_context_window
 
 
 def build_selector_prompt(db: DatabaseSchema, question: str, evidence: str = "",

@@ -6,8 +6,10 @@ normalization; it shares no code with the library being tested.
 
 from __future__ import annotations
 
+import os
 import sqlite3
 from collections import Counter
+from urllib.parse import quote
 
 # (db, gold, pred) triples
 METRIC_ITEMS = [
@@ -63,7 +65,8 @@ EXPECTED_EX = [
 
 
 def _oracle_run(db_path: str, sql: str):
-    conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+    # percent-quoted, so that a '?' or '#' in the path cannot end the file name
+    conn = sqlite3.connect(f"file:{quote(os.path.abspath(db_path))}?mode=ro", uri=True)
     try:
         return ("ok", conn.execute(sql).fetchall())
     except Exception as exc:

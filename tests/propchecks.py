@@ -199,7 +199,7 @@ def check_one_scenario(scenario, registry: DatabaseRegistry):
 
     # decomposer contract: the initial refine candidate is the last sub-SQL
     assert len(state.steps) == scenario["n_steps"]
-    last_sub_sql = state.steps[-1][1]
+    last_sub_sql = state.steps[-1].sub_sql
     assert state.refine_attempts[0].input_sql == last_sub_sql
 
     # termination: round cap bounds the attempt list

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,8 @@ from metric_fixture import METRIC_ITEMS
 
 from text2sql.cli import main
 from text2sql.pipeline import Journal
+
+GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
 
 QUESTION = ("What is the gender of the youngest client who opened account "
             "in the lowest average salary branch?")
@@ -279,10 +282,45 @@ class TestExportSft:
         states = list(Journal(str(journal)).load().values())
         states[0].task.task_id = "999"
         states[0].task.gold_sql = None
-        journal.write_text(states[0].to_json() + "\n", encoding="utf-8")
+        journal.write_text(json.dumps(states[0], default=vars) + "\n", encoding="utf-8")
         result = runner.invoke(main, [
             "export-sft", "--journal", str(journal), "--benchmark", "bird",
             "--items", str(items_path), "--db-root", str(banking_bird_root),
             "--out", str(tmp_path / "r.jsonl"),
         ])
         assert result.exit_code == 2
+
+
+class TestEarlierJournal:
+    """A journal line pinned from an earlier release still feeds eval and export-sft."""
+
+    @pytest.fixture()
+    def golden_items(self, tmp_path):
+        task = json.loads(GOLDEN_LINE.read_text(encoding="utf-8"))["task"]
+        items = [{"question_id": task["task_id"], "db_id": task["db_id"],
+                  "question": task["question"], "evidence": task["evidence"],
+                  "SQL": task["gold_sql"], "difficulty": task["difficulty"]}]
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(items), encoding="utf-8")
+        return str(path)
+
+    def test_eval(self, runner, banking_bird_root, golden_items, tmp_path):
+        out = tmp_path / "report"
+        result = runner.invoke(main, [
+            "eval", "--predictions", str(GOLDEN_LINE), "--benchmark", "bird",
+            "--items", golden_items, "--db-root", str(banking_bird_root),
+            "--out", str(out), "--no-ves",
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "report.json").read_text())["ex_pct"] == 100.0
+
+    def test_export_sft(self, runner, banking_bird_root, golden_items, tmp_path):
+        out = tmp_path / "records.jsonl"
+        result = runner.invoke(main, [
+            "export-sft", "--journal", str(GOLDEN_LINE), "--benchmark", "bird",
+            "--items", golden_items, "--db-root", str(banking_bird_root),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(r) for r in out.read_text().splitlines()]
+        assert [r["agent_task"] for r in records] == ["selector", "decomposer", "refiner"]

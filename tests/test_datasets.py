@@ -12,6 +12,7 @@ from text2sql.datasets import (
     load_column_descriptions,
 )
 from text2sql.execution import ExecStatus, execute_sql
+from text2sql.pipeline import decoder
 
 
 def write_items(path, items):
@@ -65,7 +66,7 @@ class TestLoadBird:
         items = write_items(tmp_path / "dev.json", BIRD_ITEMS)
         first = load_benchmark("bird", str(items), str(banking_bird_root))
         second = load_benchmark("bird", str(items), str(banking_bird_root))
-        assert [t.to_dict() for t in first.tasks] == [t.to_dict() for t in second.tasks]
+        assert first.tasks == second.tasks
 
     def test_missing_database(self, banking_bird_root, tmp_path):
         items = write_items(tmp_path / "dev.json", [
@@ -123,4 +124,4 @@ class TestTask:
     def test_round_trip(self):
         task = Task(task_id="7", db_id="shop", question="q", evidence="e",
                     gold_sql="SELECT 1", difficulty="simple")
-        assert Task.from_dict(task.to_dict()) == task
+        assert decoder(Task)(json.loads(json.dumps(task, default=vars))) == task

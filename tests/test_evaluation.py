@@ -8,16 +8,14 @@ from text2sql.datasets import Task
 from text2sql.evaluation import (
     ErrorClass,
     ItemScore,
-    OutcomeSummary,
     build_report,
     classify_error,
     exact_match,
     exec_match,
     score_item,
     ves_ratio,
-    ves_score,
 )
-from text2sql.execution import ExecStatus, ExecutionOutcome
+from text2sql.execution import ExecStatus, ExecutionOutcome, OutcomeSummary
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +68,11 @@ class TestVes:
         assert ratio == 0.5
 
     def test_non_matching_contributes_zero(self, db_paths):
-        score = ves_score("SELECT name FROM products WHERE price > 20",
-                          "SELECT name FROM products WHERE price > 10",
-                          db_paths["shop"], run_timer=lambda db, sql: 1.0)
-        assert score == 0.0
+        score = score_item("x", "SELECT name FROM products WHERE price > 20",
+                           "SELECT name FROM products WHERE price > 10",
+                           db_paths["shop"], run_timer=lambda db, sql: 1.0)
+        assert score.ves_ratio is None
+        assert build_report([score]).ves == 0.0
 
     def test_real_timer_positive(self, db_paths):
         ratio = ves_ratio("SELECT name FROM products", "SELECT name FROM products",
@@ -168,7 +167,7 @@ class TestScoreItem:
         assert miss.ves_ratio is None
 
     def test_invariants_enforced(self):
-        summary = OutcomeSummary(status="OK", row_count=1)
+        summary = OutcomeSummary(status=ExecStatus.OK, row_count=1)
         with pytest.raises(ValueError):
             ItemScore("t", ex=True, em=None, ves_ratio=None,
                       error_class=ErrorClass.NONE,

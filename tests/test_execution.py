@@ -14,6 +14,7 @@ from text2sql.execution import (
     normalize_rows,
     rows_equal,
 )
+from text2sql.schema import introspect
 
 
 class TestExecuteSql:
@@ -104,6 +105,25 @@ class TestExecuteSql:
     def test_unreadable_db_is_other_error(self, tmp_path):
         outcome = execute_sql(str(tmp_path / "missing.sqlite"), "SELECT 1")
         assert outcome.status is ExecStatus.OTHER_ERROR
+
+
+class TestReadOnlyPath:
+    @pytest.mark.parametrize("dirname", ["a?b", "a#b"])
+    def test_uri_characters_in_directory_name(self, tmp_path, dirname):
+        db_dir = tmp_path / dirname
+        db_dir.mkdir()
+        db = db_dir / "db.sqlite"
+        conn = sqlite3.connect(db)
+        conn.executescript("CREATE TABLE t (x); INSERT INTO t VALUES (1), (2);")
+        conn.close()
+        before = sorted(tmp_path.rglob("*"))
+
+        outcome = execute_sql(str(db), "SELECT x FROM t ORDER BY x")
+        assert outcome.status is ExecStatus.OK
+        assert outcome.rows == ((1,), (2,))
+        assert execute_sql(str(db), "CREATE TABLE evil (y)").status is ExecStatus.OTHER_ERROR
+        assert [t.name for t in introspect(str(db)).tables] == ["t"]
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestOutcomeInvariants:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +10,18 @@ from dbfixtures import BANKING_DESCRIPTIONS
 
 from text2sql.backend import ScriptedBackend
 from text2sql.datasets import DatabaseRegistry, Task
+from text2sql.execution import ExecStatus
 from text2sql.pipeline import (
     Journal,
     MissingGold,
     Pipeline,
     PipelineConfig,
     PipelineState,
+    decoder,
     export_instruction_data,
 )
+
+GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
 
 FINAL_GENDER_SQL = (
     "SELECT T1.`gender`\n"
@@ -29,6 +34,11 @@ FINAL_GENDER_SQL = (
 
 QUESTION = "What is the gender of the youngest client who opened account in the lowest average salary branch?"
 EVIDENCE = "Later birthdate refers to younger age; A11 refers to average salary"
+
+
+def line(state: PipelineState) -> str:
+    """A state as the journal writes it."""
+    return json.dumps(state, default=vars, sort_keys=True)
 
 
 def fake_clock():
@@ -102,15 +112,16 @@ class TestRunQuestion:
         for _ in range(2):
             pipe = Pipeline(scripted_backend(256), registry,
                             PipelineConfig(), clock=fake_clock())
-            states.append(pipe.run_question(banking_task()).to_json())
+            states.append(line(pipe.run_question(banking_task())))
         assert states[0] == states[1]
 
     def test_state_round_trip(self, registry, scripted_backend):
         pipe = Pipeline(scripted_backend(256), registry,
                         PipelineConfig(), clock=fake_clock())
         state = pipe.run_question(banking_task())
-        revived = PipelineState.from_dict(json.loads(state.to_json()))
-        assert revived.to_json() == state.to_json()
+        revived = decoder(PipelineState)(json.loads(line(state)))
+        assert revived == state
+        assert line(revived) == line(state)
 
     def test_decomposer_failure_recorded(self, registry):
         backend = ScriptedBackend([("decompose the question into subquestions",
@@ -160,7 +171,7 @@ class TestRunBatch:
         pipe2 = Pipeline(scripted_backend(256), registry,
                          PipelineConfig(), clock=fake_clock())
         batch = pipe2.run_batch([banking_task()])
-        assert batch[0].to_json() == single.to_json()
+        assert line(batch[0]) == line(single)
 
     def test_journal_resume_skips_done(self, registry, scripted_backend, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
@@ -179,6 +190,35 @@ class TestRunBatch:
         assert len(states) == 4
         # only the two pending tasks hit the backend again
         assert len(calls) == 2
+
+    def test_resume_reruns_backend_failures_only(self, registry, scripted_backend,
+                                                 tmp_path):
+        journal_path = str(tmp_path / "journal.jsonl")
+        tasks = [banking_task(task_id=str(i)) for i in range(3)]
+        down = ScriptedBackend([], context_window=32768)
+        refiner_down = ScriptedBackend([("decompose the question into subquestions",
+                                         "```sql\nSELECT gendr FROM client\n```")],
+                                       context_window=32768)
+        no_sql = ScriptedBackend([("decompose the question into subquestions",
+                                   "I cannot answer.")], context_window=32768)
+        for backend, task in zip((down, refiner_down, no_sql), tasks):
+            Pipeline(backend, registry, PipelineConfig()).run_batch(
+                [task], journal_path=journal_path)
+        errors = [state.error for state in Journal(journal_path).load().values()]
+        assert errors[0].startswith("backend failure:")
+        assert errors[1].startswith("refiner backend failure:")
+        assert errors[2].startswith("decomposer produced no SQL")
+
+        calls = []
+        backend = scripted_backend(32768, strict=False)
+        original = backend.complete
+        backend.complete = lambda req: calls.append(1) or original(req)
+        states = Pipeline(backend, registry, PipelineConfig()).run_batch(
+            tasks, journal_path=journal_path)
+        assert len(calls) == 2  # tasks 0 and 1 rerun; the model failure of 2 stands
+        assert [s.final_sql for s in states[:2]] == [FINAL_GENDER_SQL] * 2
+        reloaded = Journal(journal_path).load()
+        assert [reloaded[t.task_id].error for t in tasks] == [None, None, errors[2]]
 
     def test_per_task_isolation(self, registry, scripted_backend):
         pipe = Pipeline(scripted_backend(32768, strict=False), registry,
@@ -199,6 +239,39 @@ class TestRunBatch:
                        progress=lambda done, total, state: seen.append((done, total)))
         assert seen[-1] == (3, 3)
         assert len(seen) == 3
+
+
+class TestJournal:
+    def test_golden_line_round_trips_byte_identical(self):
+        text = GOLDEN_LINE.read_text(encoding="utf-8").rstrip("\n")
+        state = decoder(PipelineState)(json.loads(text))
+        assert line(state) == text
+        outcome = state.refine_attempts[-1].outcome
+        assert outcome.status is ExecStatus.OK
+        assert outcome.row_count == 25
+        assert len(outcome.rows_preview) == 20
+        assert outcome.rows_preview[-1] == (20, "0xcafe")
+        assert state.steps[-1].sub_sql == state.refine_attempts[0].input_sql
+
+    def test_undecodable_lines_skipped_with_one_warning(self, registry, scripted_backend,
+                                                       tmp_path, caplog):
+        pipe = Pipeline(scripted_backend(32768), registry, PipelineConfig())
+        good = json.loads(line(pipe.run_question(banking_task("0"))))
+        bogus = json.loads(json.dumps(good))
+        bogus["task"]["task_id"] = "1"
+        bogus["refine_attempts"][0]["outcome"]["status"] = "BOGUS"
+        wrong_type = json.loads(json.dumps(good))
+        wrong_type["task"]["task_id"] = "2"
+        wrong_type["refine_attempts"][0]["outcome"]["row_count"] = "many"
+        journal_path = tmp_path / "journal.jsonl"
+        journal_path.write_text("".join(json.dumps(d) + "\n"
+                                        for d in (good, bogus, wrong_type)) + "{torn",
+                                encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            states = Journal(str(journal_path)).load()
+        assert list(states) == ["0"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "skipped 3 journal line(s)" in warnings[0]
 
 
 class TestInstructionExport:

@@ -17,8 +17,8 @@ from text2sql.schema import (
     render_foreign_keys,
     render_schema_description,
     render_table_blocks,
-    sample_column_values,
 )
+from text2sql.selector import PrunedSchema
 
 
 def make_db(tmp_path, name, script):
@@ -50,7 +50,7 @@ class TestIntrospect:
         assert schema.db_id == "mini"
 
     def test_banking_fixture_tables_and_keys(self, banking_schema):
-        assert banking_schema.table_names() == ["account", "client", "loan", "district"]
+        assert [t.name for t in banking_schema.tables] == ["account", "client", "loan", "district"]
         pairs = {(fk.from_table, fk.to_table) for fk in banking_schema.foreign_keys}
         assert ("client", "district") in pairs
         assert ("account", "district") in pairs
@@ -84,7 +84,7 @@ class TestIntrospect:
         conn.close()
 
         schema = introspect(str(school_db))
-        assert schema.table_names() == oracle_tables
+        assert [t.name for t in schema.tables] == oracle_tables
         assert {t.name: len(t.columns) for t in schema.tables} == oracle_columns
 
     def test_unmatched_description_warns(self, banking_db, caplog):
@@ -100,29 +100,32 @@ class TestIntrospect:
         assert schema.table("client").column("gender").description == "sex of the client"
 
 
+def examples(schema, table, column):
+    return schema.table(table).column(column).value_examples
+
+
 class TestSampleColumnValues:
     def test_gender_by_frequency(self, banking_schema):
         # 3 x M, 2 x F in the fixture
-        assert sample_column_values(banking_schema, "client", "gender") == ["'M'", "'F'"]
+        assert examples(banking_schema, "client", "gender") == ("'M'", "'F'")
 
     def test_empty_table(self, tmp_path):
         path = make_db(tmp_path, "zero.sqlite", "CREATE TABLE t (name TEXT);")
         schema = introspect(str(path))
-        assert sample_column_values(schema, "t", "name") == []
+        assert examples(schema, "t", "name") == ()
 
     def test_unknown_column(self, banking_schema):
         with pytest.raises(UnknownColumn):
-            sample_column_values(banking_schema, "client", "no_such")
+            examples(banking_schema, "client", "no_such")
 
     def test_numeric_affine_columns_skipped(self, banking_schema):
-        assert sample_column_values(banking_schema, "district", "A11") == []
-        assert sample_column_values(banking_schema, "district", "A2") == []
+        assert examples(banking_schema, "district", "A11") == ()
+        assert examples(banking_schema, "district", "A2") == ()
 
     def test_charter_flag_matches_frequency_oracle(self, school_db):
         # frozen from a GROUP BY/COUNT oracle run on the fixture: 1 x3, 0 x2
         schema = introspect(str(school_db))
-        values = sample_column_values(schema, "frpm", "Charter School (Y/N)")
-        assert values == ["1", "0"]
+        assert examples(schema, "frpm", "Charter School (Y/N)") == ("1", "0")
 
     def test_url_dominated_column_skipped(self, tmp_path):
         path = make_db(tmp_path, "urls.sqlite", """
@@ -132,7 +135,7 @@ class TestSampleColumnValues:
             INSERT INTO sites VALUES ('plain');
         """)
         schema = introspect(str(path))
-        assert sample_column_values(schema, "sites", "home") == []
+        assert examples(schema, "sites", "home") == ()
 
     def test_email_dominated_column_skipped(self, tmp_path):
         path = make_db(tmp_path, "mail.sqlite", """
@@ -141,7 +144,7 @@ class TestSampleColumnValues:
             INSERT INTO folk VALUES ('b@y.org');
         """)
         schema = introspect(str(path))
-        assert sample_column_values(schema, "folk", "mail") == []
+        assert examples(schema, "folk", "mail") == ()
 
     def test_long_values_skip_column(self, tmp_path):
         path = make_db(tmp_path, "long.sqlite", f"""
@@ -149,10 +152,10 @@ class TestSampleColumnValues:
             INSERT INTO notes VALUES ('{"y" * 80}');
         """)
         schema = introspect(str(path))
-        assert sample_column_values(schema, "notes", "body") == []
+        assert examples(schema, "notes", "body") == ()
 
-    def test_at_most_k_distinct_and_all_present(self, banking_db, banking_schema):
-        values = sample_column_values(banking_schema, "client", "birth_date", k=3)
+    def test_at_most_k_distinct_and_all_present(self, banking_db):
+        values = examples(introspect(str(banking_db), sample_k=3), "client", "birth_date")
         assert len(values) == 3
         assert len(set(values)) == len(values)
         conn = sqlite3.connect(banking_db)
@@ -172,7 +175,8 @@ class TestRendering:
         assert "    (account_id, the id of the account.)," in text
 
     def test_single_table_selection(self, banking_schema):
-        text = render_schema_description(banking_schema, {"district": ["district_id", "A11"]})
+        pruned = PrunedSchema(banking_schema, {"district": ["district_id", "A11"]}).schema
+        text = render_schema_description(pruned)
         assert text.count("# Table:") == 1
         assert text.rstrip().endswith("[Foreign keys]")
 
@@ -200,21 +204,22 @@ class TestRendering:
             {"loan": ["loan_id", "status"]},
         ]
         for selection in selections:
-            assert len(render_schema_description(banking_schema, selection)) <= full
+            pruned = PrunedSchema(banking_schema, selection).schema
+            assert len(render_schema_description(pruned)) <= full
 
     def test_foreign_key_closure(self, banking_schema):
-        text = render_foreign_keys(banking_schema, {"client": ["client_id", "district_id"],
-                                                    "district": ["district_id"]})
+        def fks(selection):
+            return render_foreign_keys(PrunedSchema(banking_schema, selection).schema)
+        text = fks({"client": ["client_id", "district_id"], "district": ["district_id"]})
         assert text == "client.`district_id` = district.`district_id`"
         # dropping the referenced column kills the key
-        assert render_foreign_keys(banking_schema, {"client": ["client_id"],
-                                                    "district": ["district_id"]}) == ""
+        assert fks({"client": ["client_id"], "district": ["district_id"]}) == ""
 
     def test_selection_with_unknown_name_rejected(self, banking_schema):
-        with pytest.raises(UnknownColumn):
-            render_table_blocks(banking_schema, {"ghost": ["x"]})
-        with pytest.raises(UnknownColumn):
-            render_table_blocks(banking_schema, {"client": ["ghost"]})
+        pruned = PrunedSchema(banking_schema, {"ghost": ["x"], "client": ["ghost", "gender"]})
+        text = render_table_blocks(pruned.schema)
+        assert text.count("# Table:") == 1
+        assert "ghost" not in text and "(gender, " in text
 
 
 class TestEstimateTokens:
@@ -229,9 +234,6 @@ class TestEstimateTokens:
         # independent recount by the same ceiling(bytes/4) rule
         assert estimate_tokens(text) == math.ceil(len(text.encode("utf-8")) / 4)
         assert estimate_tokens(text) == 419  # frozen for this fixture
-
-    def test_pluggable_estimator(self):
-        assert estimate_tokens("abcdef", estimator=lambda s: len(s)) == 6
 
 
 class TestTypeInvariants:

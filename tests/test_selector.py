@@ -10,7 +10,6 @@ from text2sql.selector import (
     NoJsonFound,
     apply_pruning,
     build_selector_prompt,
-    column_stats_exceed,
     needs_pruning,
     parse_pruning_decision,
     PruningDecision,
@@ -57,12 +56,6 @@ class TestNeedsPruning:
     def test_requires_positive_window(self):
         with pytest.raises(ValueError):
             needs_pruning("x", 0)
-
-    def test_column_count_alternative(self, banking_schema):
-        assert column_stats_exceed(banking_schema, total_columns_limit=10,
-                                   avg_columns_limit=100.0) is True
-        assert column_stats_exceed(banking_schema, total_columns_limit=1000,
-                                   avg_columns_limit=100.0) is False
 
 
 class TestSelectorPrompt:
