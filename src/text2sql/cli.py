@@ -19,8 +19,6 @@ from .pipeline import (
     MissingGold,
     Pipeline,
     PipelineConfig,
-    PipelineState,
-    decoder,
     export_instruction_data,
 )
 
@@ -251,16 +249,8 @@ def _load_predictions(path: str) -> dict[str, str]:
             return {str(k): v for k, v in data.items()}
     except json.JSONDecodeError:
         pass
-    predictions: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            state = decoder(PipelineState)(json.loads(line))
-        except (TypeError, ValueError) as exc:
-            raise click.UsageError(f"unparseable predictions line: {exc}")
-        predictions[state.task.task_id] = state.final_sql
+    predictions = {task_id: state.final_sql
+                   for task_id, state in Journal(path).load().items()}
     if not predictions:
         raise click.UsageError("predictions file contains no predictions")
     return predictions

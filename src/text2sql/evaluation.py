@@ -134,7 +134,7 @@ def classify_error(pred_outcome: ExecutionOutcome, gold_outcome: ExecutionOutcom
     if pred_outcome.status is ExecStatus.SCHEMA_ERROR:
         return ErrorClass.SCHEMA_LINKING_ERROR
     if pred_outcome.status in (ExecStatus.SYNTAX_ERROR, ExecStatus.TIMEOUT,
-                               ExecStatus.OTHER_ERROR):
+                               ExecStatus.DENIED, ExecStatus.OTHER_ERROR):
         return ErrorClass.EXECUTION_ERROR
     if pred_outcome.status is ExecStatus.EMPTY_RESULT:
         return ErrorClass.EMPTY_RESULT

@@ -1,4 +1,4 @@
-"""Read-only SQL execution with timeout, outcome classification, and row normalization."""
+"""Guarded read-only SQL execution with timeout, outcome classification, and row normalization."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ class ExecStatus(str, Enum):
     SCHEMA_ERROR = "SCHEMA_ERROR"
     EMPTY_RESULT = "EMPTY_RESULT"
     TIMEOUT = "TIMEOUT"
+    DENIED = "DENIED"
     OTHER_ERROR = "OTHER_ERROR"
 
 
@@ -69,9 +70,9 @@ class OutcomeSummary:
                    outcome.exception_class, outcome.elapsed)
 
 
-def connect_readonly(db_path: str, **kwargs) -> sqlite3.Connection:
+def connect_readonly(db_path: str) -> sqlite3.Connection:
     """Open a database file read-only; the path is percent-quoted into the URI."""
-    return sqlite3.connect(_readonly_uri(os.getcwd(), db_path), uri=True, **kwargs)
+    return sqlite3.connect(_readonly_uri(os.getcwd(), db_path), uri=True)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -80,12 +81,84 @@ def _readonly_uri(cwd: str, db_path: str) -> str:
     return (Path(cwd) / db_path).resolve().as_uri() + "?mode=ro"
 
 
+# Authorizer actions a query may take; anything else (a write, BEGIN, ATTACH,
+# PRAGMA, VACUUM, CREATE TEMP ...) is refused before the statement runs.
+_READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                           sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+_DENIED_MESSAGE = "not authorized: only read-only SELECT statements may run"
+# The deadline is checked every this many virtual-machine steps.
+_PROGRESS_STEPS = 1000
+
+
+class _Guarded:
+    """An open guarded connection and the key it was opened for.
+
+    A ``sqlite3.Connection`` is part of a reference cycle through its
+    statement cache, so only the cycle collector would free one that is
+    dropped. Closing it here releases its file and SQLite's memory as soon as
+    the slot lets go: on a change of database, or when the thread ends.
+    """
+
+    def __init__(self, key: tuple, conn: sqlite3.Connection):
+        self.key = key
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
+
+
+class _Slot(threading.local):
+    """This thread's guarded connection and the guard state of its current call."""
+
+    guarded: Optional[_Guarded] = None
+    deadline = 0.0
+    timed_out = False
+    denied = False
+
+
+_slot = _Slot()
+
+
+def _authorize(action, *_) -> int:
+    if action in _READ_ACTIONS:
+        return sqlite3.SQLITE_OK
+    _slot.denied = True
+    return sqlite3.SQLITE_DENY
+
+
+def _past_deadline() -> bool:
+    if time.monotonic() < _slot.deadline:
+        return False
+    _slot.timed_out = True
+    return True
+
+
+def _connection(db_path: str) -> sqlite3.Connection:
+    """The guarded connection of this thread to ``db_path``, reopened when the file changed.
+
+    The key holds the file's device and inode, so a file replaced at the
+    same path gets a new connection; the old one is closed.
+    """
+    uri = _readonly_uri(os.getcwd(), db_path)
+    info = os.stat(db_path)
+    key = (uri, info.st_dev, info.st_ino)
+    if _slot.guarded is None or _slot.guarded.key != key:
+        _slot.guarded = None
+        conn = sqlite3.connect(uri, uri=True, isolation_level=None)
+        conn.set_authorizer(_authorize)
+        conn.set_progress_handler(_past_deadline, _PROGRESS_STEPS)
+        _slot.guarded = _Guarded(key, conn)
+    return _slot.guarded.conn
+
+
 _SCHEMA_ERROR_MARKS = ("no such table", "no such column", "ambiguous column name")
 
 
-def _classify_error(exc: BaseException, timed_out: bool) -> ExecStatus:
-    if timed_out:
+def _classify_error(exc: BaseException) -> ExecStatus:
+    if _slot.timed_out:
         return ExecStatus.TIMEOUT
+    if _slot.denied:
+        return ExecStatus.DENIED
     if isinstance(exc, sqlite3.OperationalError):
         msg = str(exc).lower()
         if any(mark in msg for mark in _SCHEMA_ERROR_MARKS):
@@ -98,36 +171,41 @@ def _classify_error(exc: BaseException, timed_out: bool) -> ExecStatus:
 
 def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT,
                 clock: Callable[[], float] = time.monotonic) -> ExecutionOutcome:
-    """Run one read-only statement; every failure mode is encoded in the outcome."""
+    """Run one read-only statement; every failure mode is encoded in the outcome.
+
+    The statement runs on this thread's guarded connection: the authorizer
+    refuses any action but reading (DENIED), and a progress handler stops it
+    once ``timeout`` seconds have passed (TIMEOUT).
+    """
     if not sql or not sql.strip():
         raise ValueError("sql must be nonempty")
     start = clock()
-    timed_out = threading.Event()
     try:
-        conn = connect_readonly(db_path, check_same_thread=False)
-    except sqlite3.Error as exc:
+        conn = _connection(db_path)
+    except (sqlite3.Error, OSError) as exc:
         return ExecutionOutcome(
             status=ExecStatus.OTHER_ERROR,
             error_message=str(exc),
             exception_class=type(exc).__name__,
             elapsed=clock() - start,
         )
-    timer = threading.Timer(timeout, lambda: (timed_out.set(), conn.interrupt()))
-    timer.daemon = True
-    timer.start()
+    _slot.deadline = time.monotonic() + timeout
+    _slot.timed_out = _slot.denied = False
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(sql)
+        cursor.execute(sql)
         rows = tuple(tuple(r) for r in cursor.fetchall())
     except (sqlite3.Error, sqlite3.Warning, ValueError, OverflowError) as exc:
+        status = _classify_error(exc)
         return ExecutionOutcome(
-            status=_classify_error(exc, timed_out.is_set()),
-            error_message=str(exc),
+            status=status,
+            error_message=_DENIED_MESSAGE if status is ExecStatus.DENIED else str(exc),
             exception_class=type(exc).__name__,
             elapsed=clock() - start,
         )
     finally:
-        timer.cancel()
-        conn.close()
+        # resets the statement, so no read transaction stays open between calls
+        cursor.close()
     status = ExecStatus.OK if rows else ExecStatus.EMPTY_RESULT
     return ExecutionOutcome(status=status, rows=rows, elapsed=clock() - start)
 

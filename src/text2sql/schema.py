@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sqlite3
@@ -53,14 +54,19 @@ class TableSchema:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names in table {self.name!r}")
 
+    @functools.cached_property
+    def _by_lower(self) -> dict[str, ColumnSchema]:
+        # reversed, so the first of two names equal but for case wins
+        return {c.name.lower(): c for c in reversed(self.columns)}
+
     def column(self, name: str) -> ColumnSchema:
-        for c in self.columns:
-            if c.name.lower() == name.lower():
-                return c
-        raise UnknownColumn(f"{self.name}.{name}")
+        try:
+            return self._by_lower[name.lower()]
+        except KeyError:
+            raise UnknownColumn(f"{self.name}.{name}") from None
 
     def has_column(self, name: str) -> bool:
-        return any(c.name.lower() == name.lower() for c in self.columns)
+        return name.lower() in self._by_lower
 
     def primary_key_names(self) -> list[str]:
         return [c.name for c in self.columns if c.is_primary_key]
@@ -90,17 +96,22 @@ class DatabaseSchema:
                 if not self.has_column(tbl, col):
                     raise ValueError(f"foreign key endpoint {tbl}.{col} does not exist")
 
+    @functools.cached_property
+    def _by_lower(self) -> dict[str, TableSchema]:
+        return {t.name.lower(): t for t in reversed(self.tables)}
+
     def table(self, name: str) -> TableSchema:
-        for t in self.tables:
-            if t.name.lower() == name.lower():
-                return t
-        raise UnknownColumn(f"no such table: {name}")
+        try:
+            return self._by_lower[name.lower()]
+        except KeyError:
+            raise UnknownColumn(f"no such table: {name}") from None
 
     def has_table(self, name: str) -> bool:
-        return any(t.name.lower() == name.lower() for t in self.tables)
+        return name.lower() in self._by_lower
 
     def has_column(self, table: str, column: str) -> bool:
-        return self.has_table(table) and self.table(table).has_column(column)
+        t = self._by_lower.get(table.lower())
+        return t is not None and t.has_column(column)
 
 
 def _type_affinity(declared_type: str) -> str:

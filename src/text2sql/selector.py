@@ -27,6 +27,9 @@ KEEP_ALL = "keep_all"
 DROP_ALL = "drop_all"
 
 
+_DECODER = json.JSONDecoder()
+
+
 class NoJsonFound(Exception):
     """The selector response contains no parseable JSON object."""
 
@@ -103,35 +106,13 @@ def build_selector_prompt(db: DatabaseSchema, question: str, evidence: str = "",
 
 
 def _find_json_object(text: str) -> Optional[dict]:
+    """The first ``{`` in ``text`` at which a whole JSON object can be decoded."""
     start = text.find("{")
     while start >= 0:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-            elif c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        value = json.loads(text[start:i + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(value, dict):
-                        return value
-                    break
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     return None
 
 
@@ -160,17 +141,15 @@ def parse_pruning_decision(response_text: str, db: DatabaseSchema) -> PruningDec
                 verdict = KEEP_ALL
             verdicts[table.name] = verdict
         elif isinstance(value, list):
-            cols = []
+            cols: dict[str, None] = {}  # ordered set of canonical names
             for item in value:
                 if isinstance(item, str) and table.has_column(item):
-                    canonical = table.column(item).name
-                    if canonical not in cols:
-                        cols.append(canonical)
+                    cols[table.column(item).name] = None
                 else:
                     warnings.append(f"unknown column {item!r} dropped from "
                                     f"table {table.name}")
             if cols:
-                verdicts[table.name] = cols
+                verdicts[table.name] = list(cols)
             else:
                 warnings.append(f"no valid columns listed for table {table.name}; "
                                 f"treating as keep_all")

@@ -314,6 +314,24 @@ class TestEarlierJournal:
         assert result.exit_code == 0, result.output
         assert json.loads((tmp_path / "report.json").read_text())["ex_pct"] == 100.0
 
+    def test_eval_skips_undecodable_line_with_one_warning(self, runner, banking_bird_root,
+                                                          golden_items, tmp_path, caplog):
+        bogus = json.loads(GOLDEN_LINE.read_text(encoding="utf-8"))
+        bogus["refine_attempts"][0]["outcome"]["status"] = "BOGUS"
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(GOLDEN_LINE.read_text(encoding="utf-8") + json.dumps(bogus) + "\n",
+                           encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            result = runner.invoke(main, [
+                "eval", "--predictions", str(journal), "--benchmark", "bird",
+                "--items", golden_items, "--db-root", str(banking_bird_root),
+                "--out", str(tmp_path / "report"), "--no-ves",
+            ])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "report.json").read_text())["ex_pct"] == 100.0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "skipped 1 journal line(s)" in warnings[0]
+
     def test_export_sft(self, runner, banking_bird_root, golden_items, tmp_path):
         out = tmp_path / "records.jsonl"
         result = runner.invoke(main, [

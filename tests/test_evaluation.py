@@ -136,7 +136,7 @@ class TestClassifyError:
         assert label is ErrorClass.SCHEMA_LINKING_ERROR
 
     @pytest.mark.parametrize("status", [ExecStatus.SYNTAX_ERROR, ExecStatus.TIMEOUT,
-                                        ExecStatus.OTHER_ERROR])
+                                        ExecStatus.DENIED, ExecStatus.OTHER_ERROR])
     def test_execution_error(self, status):
         assert classify_error(self.failed(status), self.ok(),
                               ex=False) is ErrorClass.EXECUTION_ERROR

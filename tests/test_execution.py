@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import os
 import sqlite3
+import sys
+import threading
 import time
 
 import pytest
@@ -45,8 +49,10 @@ class TestExecuteSql:
         assert outcome.rows == ()
 
     def test_other_error_on_write(self, banking_db):
+        before = hashlib.sha256(banking_db.read_bytes()).hexdigest()
         outcome = execute_sql(str(banking_db), "DELETE FROM loan")
-        assert outcome.status is ExecStatus.OTHER_ERROR
+        assert outcome.status is ExecStatus.DENIED
+        assert hashlib.sha256(banking_db.read_bytes()).hexdigest() == before
 
     def test_gold_matches_direct_execution_oracle(self, banking_db):
         gold = ("SELECT T1.`gender` FROM client AS T1 INNER JOIN district AS T2 "
@@ -121,9 +127,133 @@ class TestReadOnlyPath:
         outcome = execute_sql(str(db), "SELECT x FROM t ORDER BY x")
         assert outcome.status is ExecStatus.OK
         assert outcome.rows == ((1,), (2,))
-        assert execute_sql(str(db), "CREATE TABLE evil (y)").status is ExecStatus.OTHER_ERROR
+        assert execute_sql(str(db), "CREATE TABLE evil (y)").status is ExecStatus.DENIED
         assert [t.name for t in introspect(str(db)).tables] == ["t"]
         assert sorted(tmp_path.rglob("*")) == before
+
+
+def _make_db(path, values):
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (x)")
+    conn.executemany("INSERT INTO t VALUES (?)", [(v,) for v in values])
+    conn.commit()
+    conn.close()
+    return str(path)
+
+
+def _open_files(path):
+    """This process's descriptors open on ``path``, or on a file deleted from it."""
+    fds = "/proc/self/fd"
+    targets = []
+    for fd in os.listdir(fds):
+        try:
+            targets.append(os.readlink(os.path.join(fds, fd)))
+        except OSError:  # the descriptor listdir itself used is gone
+            continue
+    return [t for t in targets if t == path or t == path + " (deleted)"]
+
+
+class TestGuardedConnection:
+    @pytest.mark.parametrize("probe,created", [
+        ("VACUUM INTO '{tmp}/x.db'", "x.db"),
+        ("ATTACH DATABASE '{tmp}/y.db' AS a", "y.db"),
+    ])
+    def test_file_writing_statements_denied(self, tmp_path, probe, created):
+        db = _make_db(tmp_path / "db.sqlite", [1, 2])
+        outcome = execute_sql(db, probe.format(tmp=tmp_path))
+        assert outcome.status is ExecStatus.DENIED
+        assert outcome.rows is None
+        assert not (tmp_path / created).exists()
+
+    @pytest.mark.parametrize("probe", [
+        "BEGIN",
+        "CREATE TEMP TABLE t(x)",
+        "PRAGMA reverse_unordered_selects=1",
+    ])
+    def test_state_changing_statements_leave_no_state(self, tmp_path, probe):
+        db = _make_db(tmp_path / "db.sqlite", [1, 2, 3])
+        before = execute_sql(db, "SELECT x FROM t")
+        assert before.rows == ((1,), (2,), (3,))
+        assert execute_sql(db, probe).status is ExecStatus.DENIED
+        assert execute_sql(db, "SELECT x FROM t").rows == before.rows
+        # no read transaction pinned a snapshot: a later commit is seen
+        writer = sqlite3.connect(db)
+        writer.execute("INSERT INTO t VALUES (4)")
+        writer.commit()
+        writer.close()
+        assert execute_sql(db, "SELECT x FROM t").rows == ((1,), (2,), (3,), (4,))
+
+    def test_select_after_timeout_is_ok(self, tmp_path):
+        db = _make_db(tmp_path / "db.sqlite", [1])
+        runaway = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
+                   "SELECT x FROM c")
+        assert execute_sql(db, runaway, timeout=0.05).status is ExecStatus.TIMEOUT
+        outcome = execute_sql(db, "SELECT 1")
+        assert outcome.status is ExecStatus.OK
+        assert outcome.rows == ((1,),)
+        # the stopped statement holds no lock that would keep a writer out
+        writer = sqlite3.connect(db, timeout=0.5)
+        writer.execute("INSERT INTO t VALUES (2)")
+        writer.commit()
+        writer.close()
+
+    def test_replaced_database_returns_new_rows(self, tmp_path):
+        db = _make_db(tmp_path / "db.sqlite", [1])
+        assert execute_sql(db, "SELECT x FROM t").rows == ((1,),)
+        os.replace(_make_db(tmp_path / "new.sqlite", [7, 8]), db)
+        assert execute_sql(db, "SELECT x FROM t ORDER BY x").rows == ((7,), (8,))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_connections_are_closed(self, tmp_path):
+        db = _make_db(tmp_path / "db.sqlite", [1])
+        gc.disable()  # the close may not wait for the cycle collector
+        try:
+            thread = threading.Thread(target=execute_sql, args=(db, "SELECT x FROM t"))
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert _open_files(db) == []
+            execute_sql(db, "SELECT x FROM t")
+            os.replace(_make_db(tmp_path / "new.sqlite", [2]), db)
+            execute_sql(db, "SELECT x FROM t")
+            assert _open_files(db) == [db]
+        finally:
+            gc.enable()
+
+    def test_concurrent_threads_get_their_rows(self, tmp_path):
+        db = _make_db(tmp_path / "db.sqlite", range(100))
+        barrier = threading.Barrier(4)
+        results = {}
+
+        def work(k):
+            barrier.wait()
+            results[k] = [execute_sql(db, f"SELECT x FROM t WHERE x % 4 = {k} "
+                                          "ORDER BY x").rows for _ in range(25)]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            expected = tuple((x,) for x in range(k, 100, 4))
+            assert results[k] == [expected] * 25
+
+    def test_no_thread_started_per_call(self, banking_db, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Timer", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        other = _make_db(tmp_path / "db.sqlite", [1])
+        for db in (str(banking_db), other, str(banking_db)):
+            assert execute_sql(db, "SELECT 1").status is ExecStatus.OK
 
 
 class TestOutcomeInvariants:
