@@ -20,6 +20,7 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     export_instruction_data,
+    recorded_ex,
 )
 
 ENV_PREFIX = "TEXT2SQL_"
@@ -217,16 +218,18 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
 
     states = pipe.run_batch(tasks, journal_path=journal_path, progress=progress)
 
-    with_gold = [(s, s.task.gold_sql) for s in states if s.task.gold_sql]
+    def ex_of(state) -> bool:
+        db_path = bench.registry().path(state.task.db_id)
+        ex = recorded_ex(state, db_path)
+        if ex is None:  # no verdict that still holds: score it here
+            ex = bool(state.final_sql) and exec_match(
+                state.final_sql, state.task.gold_sql, db_path, timeout=settings["timeout"])
+        return ex
+
+    with_gold = [s for s in states if s.task.gold_sql]
     summary = {"n": len(states), "journal": journal_path, "ex_pct": None}
     if with_gold:
-        hits = sum(
-            1 for state, gold in with_gold
-            if state.final_sql and exec_match(
-                state.final_sql, gold, bench.registry().path(state.task.db_id),
-                timeout=settings["timeout"])
-        )
-        summary["ex_pct"] = 100.0 * hits / len(with_gold)
+        summary["ex_pct"] = 100.0 * sum(map(ex_of, with_gold)) / len(with_gold)
     if json_output:
         click.echo(json.dumps(summary, sort_keys=True))
     elif summary["ex_pct"] is not None:

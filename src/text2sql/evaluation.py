@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 from dataclasses import dataclass
@@ -96,22 +97,53 @@ def _default_run_timer(db_path: str, sql: str) -> float:
 def ves_ratio(pred_sql: str, gold_sql: str, db_path: str,
               repeats: int = VES_REPEATS,
               run_timer: Optional[RunTimer] = None) -> float:
-    """sqrt(median gold time / median pred time) over timed runs after a warmup.
+    """sqrt of the median per-pair ratio gold time / pred time over ``repeats`` pairs.
 
-    Only meaningful for result-matching predictions; the caller gates on ex.
-    The timing function is injectable so tests stay deterministic.
+    Gold and pred are timed in turn, so a drift in host speed hits both sides
+    of a pair alike. There is no warm-up: ``score_item`` calls this right
+    after its EX executions of the same two queries. Only meaningful for
+    result-matching predictions; the caller gates on ex. The timing function
+    is injectable so tests stay deterministic.
     """
     timer = run_timer or _default_run_timer
-    timer(db_path, gold_sql)
-    timer(db_path, pred_sql)
-    gold_times = [timer(db_path, gold_sql) for _ in range(repeats)]
-    pred_times = [timer(db_path, pred_sql) for _ in range(repeats)]
-    gold_med = statistics.median(gold_times)
-    pred_med = statistics.median(pred_times)
-    if pred_med <= 0 and gold_med <= 0:
-        return 1.0
-    pred_med = max(pred_med, 1e-9)
-    return (gold_med / pred_med) ** 0.5
+    ratios = []
+    for _ in range(repeats):
+        gold_t = timer(db_path, gold_sql)
+        pred_t = timer(db_path, pred_sql)
+        ratios.append(1.0 if gold_t <= 0 and pred_t <= 0 else gold_t / max(pred_t, 1e-9))
+    return statistics.median(ratios) ** 0.5
+
+
+@dataclass(frozen=True)
+class ExVerdict:
+    """EX of a state's final SQL against its own gold, and the database it ran on.
+
+    ``db_stamp`` is ``(st_ino, st_size, st_mtime_ns)`` of the database file,
+    taken before the queries ran; the verdict holds while the file still
+    has it.
+    """
+
+    ex: bool
+    db_stamp: tuple[int, int, int]
+
+
+def db_stamp(db_path: str) -> Optional[tuple[int, int, int]]:
+    """The identity of a database file a verdict is tied to; None when it is gone."""
+    try:
+        info = os.stat(db_path)
+    except OSError:
+        return None
+    return (info.st_ino, info.st_size, info.st_mtime_ns)
+
+
+def score_ex(pred_sql: str, gold_sql: str, db_path: str,
+             timeout: float = DEFAULT_TIMEOUT) -> Optional[ExVerdict]:
+    """The EX verdict of ``pred_sql`` against ``gold_sql``; None when the file is gone."""
+    stamp = db_stamp(db_path)
+    if stamp is None:
+        return None
+    return ExVerdict(bool(pred_sql) and exec_match(pred_sql, gold_sql, db_path, timeout),
+                     stamp)
 
 
 def exact_match(pred_sql: str, gold_sql: str) -> Optional[bool]:

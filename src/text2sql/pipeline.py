@@ -24,7 +24,7 @@ from .decomposer import (
     build_decomposer_prompt,
     parse_decomposition,
 )
-from .evaluation import exec_match
+from .evaluation import ExVerdict, db_stamp, exec_match, score_ex
 from .refiner import RefineAttempt, refine_loop
 from .schema import render_foreign_keys, render_schema_description, render_table_blocks
 from .selector import (
@@ -92,6 +92,19 @@ class PipelineState:
     llm_calls: list[LlmCall] = field(default_factory=list)
     error: Optional[str] = None
     elapsed: float = 0.0
+    ex_verdict: Optional[ExVerdict] = None
+
+
+def recorded_ex(state: PipelineState, db_path: str) -> Optional[bool]:
+    """The state's journaled EX while it still holds, else None.
+
+    A verdict was scored against the state's own gold SQL, so it holds while
+    that gold is there and the database file keeps the stamp it had.
+    """
+    verdict = state.ex_verdict
+    if verdict is None or not state.task.gold_sql or verdict.db_stamp != db_stamp(db_path):
+        return None
+    return verdict.ex
 
 
 def _expect(value, kind) -> None:
@@ -236,15 +249,31 @@ class Pipeline:
         state.elapsed = self.clock() - start
         return state
 
+    def _run_and_score(self, task: Task) -> PipelineState:
+        """``run_question``, then the EX verdict of its final SQL when the task has gold.
+
+        The scoring runs on the worker but outside the question's own time.
+        """
+        state = self.run_question(task)
+        if task.gold_sql:
+            try:
+                state.ex_verdict = score_ex(state.final_sql, task.gold_sql,
+                                            self.registry.path(task.db_id),
+                                            timeout=self.config.timeout)
+            except Exception:  # no verdict: the readers score the state themselves
+                logger.exception("scoring task %s failed", task.task_id)
+        return state
+
     def run_batch(self, tasks: Sequence[Task], parallelism: Optional[int] = None,
                   journal_path: Optional[str] = None,
                   progress: Optional[Callable[[int, int, PipelineState], None]] = None,
                   ) -> list[PipelineState]:
         """Run tasks with per-task isolation; completed work is never redone.
 
-        Results come back in input order regardless of completion order. With a
-        journal path, finished states are appended as JSON lines and reruns skip
-        task ids already present, except those that failed on the backend
+        Results come back in input order regardless of completion order, each
+        with its EX verdict when its task has gold SQL. With a journal path,
+        finished states are appended as JSON lines and reruns skip task ids
+        already present, except those that failed on the backend
         (``RETRIED_ERRORS``); their new state is appended after the old one.
         """
         workers = parallelism or self.config.parallelism
@@ -263,7 +292,7 @@ class Pipeline:
 
         if pending:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(self.run_question, t): t for t in pending}
+                futures = {pool.submit(self._run_and_score, t): t for t in pending}
                 for future in as_completed(futures):
                     state = future.result()
                     results[state.task.task_id] = state
@@ -332,7 +361,9 @@ def export_instruction_data(states: Iterable[PipelineState],
                             timeout: float = 30.0) -> list[InstructionRecord]:
     """One record per agent call, for states whose final SQL execution-matches gold.
 
-    Raises MissingGold when a state has no gold query to filter against.
+    A journaled verdict is used while it holds (``recorded_ex``); any other
+    state runs its final and gold SQL again. Raises MissingGold when a state
+    has no gold query to filter against.
     """
     records: list[InstructionRecord] = []
     for state in states:
@@ -342,8 +373,11 @@ def export_instruction_data(states: Iterable[PipelineState],
             raise MissingGold(f"no gold SQL for task {task.task_id}")
         if not state.final_sql:
             continue
-        if not exec_match(state.final_sql, gold, registry.path(task.db_id),
-                          timeout=timeout):
+        db_path = registry.path(task.db_id)
+        ex = recorded_ex(state, db_path)
+        if ex is None:
+            ex = exec_match(state.final_sql, gold, db_path, timeout=timeout)
+        if not ex:
             continue
         for call in state.llm_calls:
             records.append(InstructionRecord(

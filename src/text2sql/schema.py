@@ -113,6 +113,17 @@ class DatabaseSchema:
         t = self._by_lower.get(table.lower())
         return t is not None and t.has_column(column)
 
+    # The prompt text of this schema, rendered on first use: the schema is
+    # immutable, and every question on a database shares its full schema.
+    @functools.cached_property
+    def _table_blocks(self) -> str:
+        return "\n".join(map(_table_block, self.tables))
+
+    @functools.cached_property
+    def _foreign_key_lines(self) -> str:
+        return "\n".join(f"{fk.from_table}.`{fk.from_column}` = {fk.to_table}.`{fk.to_column}`"
+                         for fk in self.foreign_keys)
+
 
 def _type_affinity(declared_type: str) -> str:
     """SQLite column affinity from a declared type, per the engine's rules."""
@@ -284,29 +295,26 @@ def _fold_descriptions(descriptions: Mapping[str, Mapping[str, str]]) -> dict[tu
     return out
 
 
+def _table_block(table: TableSchema) -> str:
+    entries = []
+    for col in table.columns:
+        desc = col.description or col.name
+        if col.value_examples:
+            examples = ", ".join(col.value_examples)
+            entries.append(f"    ({col.name}, {desc}. Value examples: [{examples}].)")
+        else:
+            entries.append(f"    ({col.name}, {desc}.)")
+    return "\n".join([f"# Table: {table.name}", "[", ",\n".join(entries), "]"])
+
+
 def render_table_blocks(db: DatabaseSchema) -> str:
     """The ``# Table:`` blocks used as the schema section of agent prompts."""
-    blocks = []
-    for table in db.tables:
-        lines = [f"# Table: {table.name}", "["]
-        entries = []
-        for col in table.columns:
-            desc = col.description or col.name
-            if col.value_examples:
-                examples = ", ".join(col.value_examples)
-                entries.append(f"    ({col.name}, {desc}. Value examples: [{examples}].)")
-            else:
-                entries.append(f"    ({col.name}, {desc}.)")
-        lines.append(",\n".join(entries))
-        lines.append("]")
-        blocks.append("\n".join(lines))
-    return "\n".join(blocks)
+    return db._table_blocks
 
 
 def render_foreign_keys(db: DatabaseSchema) -> str:
     """Foreign-key lines; a pruned schema keeps only keys whose endpoints survive."""
-    return "\n".join(f"{fk.from_table}.`{fk.from_column}` = {fk.to_table}.`{fk.to_column}`"
-                     for fk in db.foreign_keys)
+    return db._foreign_key_lines
 
 
 def render_schema_description(db: DatabaseSchema) -> str:

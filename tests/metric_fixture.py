@@ -6,9 +6,9 @@ normalization; it shares no code with the library being tested.
 
 from __future__ import annotations
 
+import math
 import os
 import sqlite3
-from collections import Counter
 from urllib.parse import quote
 
 # (db, gold, pred) triples
@@ -93,9 +93,25 @@ def _oracle_norm(value):
     if value is None:
         return ("null",)
     if isinstance(value, (int, float)):
-        f = float(value)
-        return ("num", "0" if f == 0.0 else f"{f:.6e}")
+        return ("num", value)
     return ("str", str(value).strip())
+
+
+def _oracle_same(a, b) -> bool:
+    """Integers (and whole floats against integers) exactly, other floats within 1e-9."""
+    if a[0] != b[0]:
+        return False
+    if a[0] != "num":
+        return a == b
+    x, y = a[1], b[1]
+    if isinstance(x, float) and (isinstance(y, float) or not x.is_integer()) \
+            or isinstance(y, float) and not y.is_integer():
+        return math.isclose(x, y, rel_tol=1e-9)
+    return x == y
+
+
+def _oracle_rows_same(p, g) -> bool:
+    return len(p) == len(g) and all(map(_oracle_same, p, g))
 
 
 def oracle_exec_match(pred_sql: str, gold_sql: str, db_path: str) -> bool:
@@ -107,6 +123,15 @@ def oracle_exec_match(pred_sql: str, gold_sql: str, db_path: str) -> bool:
         return False
     a = [tuple(_oracle_norm(v) for v in row) for row in gold_rows]
     b = [tuple(_oracle_norm(v) for v in row) for row in pred_rows]
+    if len(a) != len(b):
+        return False
     if _oracle_has_top_order_by(gold_sql):
-        return a == b
-    return Counter(a) == Counter(b)
+        return all(map(_oracle_rows_same, a, b))
+    # brute force: each gold row takes the first unused predicted row it equals
+    unused = list(b)
+    for row in a:
+        match = next((i for i, p in enumerate(unused) if _oracle_rows_same(p, row)), None)
+        if match is None:
+            return False
+        del unused[match]
+    return True

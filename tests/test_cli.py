@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from click.testing import CliRunner
 
 from metric_fixture import METRIC_ITEMS
 
+from text2sql import evaluation, refiner
 from text2sql.cli import main
 from text2sql.pipeline import Journal
 
@@ -289,6 +292,100 @@ class TestExportSft:
             "--out", str(tmp_path / "r.jsonl"),
         ])
         assert result.exit_code == 2
+
+
+def _no_sql(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SQL was executed")
+    monkeypatch.setattr(evaluation, "execute_sql", refuse)
+    monkeypatch.setattr(refiner, "execute_sql", refuse)
+
+
+class TestJournaledVerdict:
+    """``bench`` journals an EX verdict that ``bench`` and ``export-sft`` reuse."""
+
+    @pytest.fixture()
+    def db_root(self, banking_bird_root, tmp_path):
+        root = tmp_path / "root"
+        shutil.copytree(banking_bird_root, root)
+        return root
+
+    def bench(self, runner, db_root, items, config, journal):
+        result = runner.invoke(main, [
+            "bench", "--benchmark", "bird", "--items", items, "--db-root", str(db_root),
+            "--journal", str(journal), "--config", config, "--json",
+        ])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def export(self, runner, db_root, items, journal, out):
+        result = runner.invoke(main, [
+            "export-sft", "--journal", str(journal), "--benchmark", "bird",
+            "--items", items, "--db-root", str(db_root), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        return out.read_text(encoding="utf-8")
+
+    def without_verdicts(self, journal, tmp_path):
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        for state in lines:
+            state.pop("ex_verdict")
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("".join(json.dumps(s) + "\n" for s in lines), encoding="utf-8")
+        return bare
+
+    def test_bench_journals_a_verdict_per_state(self, runner, db_root, bird_items_file,
+                                                script_config, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        self.bench(runner, db_root, bird_items_file, script_config, journal)
+        db = db_root / "banking_system" / "banking_system.sqlite"
+        info = os.stat(db)
+        states = Journal(str(journal)).load()
+        assert [states[k].ex_verdict.ex for k in "012"] == [True, False, True]
+        assert {states[k].ex_verdict.db_stamp for k in "012"} == {
+            (info.st_ino, info.st_size, info.st_mtime_ns)}
+
+    def test_export_uses_verdicts_without_running_sql(self, runner, db_root, bird_items_file,
+                                                      script_config, tmp_path, monkeypatch):
+        journal = tmp_path / "journal.jsonl"
+        self.bench(runner, db_root, bird_items_file, script_config, journal)
+        rescored = self.export(runner, db_root, bird_items_file,
+                               self.without_verdicts(journal, tmp_path), tmp_path / "a.jsonl")
+        _no_sql(monkeypatch)
+        trusted = self.export(runner, db_root, bird_items_file, journal, tmp_path / "b.jsonl")
+        assert trusted == rescored
+        assert len(trusted.splitlines()) == 4
+
+    @pytest.mark.parametrize("change", ["utime", "replace"])
+    def test_changed_database_falls_back(self, runner, db_root, bird_items_file,
+                                         script_config, tmp_path, monkeypatch, change):
+        journal = tmp_path / "journal.jsonl"
+        self.bench(runner, db_root, bird_items_file, script_config, journal)
+        before = self.export(runner, db_root, bird_items_file, journal, tmp_path / "a.jsonl")
+        db = db_root / "banking_system" / "banking_system.sqlite"
+        if change == "utime":
+            info = os.stat(db)
+            os.utime(db, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))
+        else:
+            copy = tmp_path / "copy.sqlite"
+            shutil.copyfile(db, copy)
+            os.replace(copy, db)
+        runs = []
+        original = evaluation.execute_sql
+        monkeypatch.setattr(evaluation, "execute_sql",
+                            lambda *a, **kw: runs.append(a[1]) or original(*a, **kw))
+        after = self.export(runner, db_root, bird_items_file, journal, tmp_path / "b.jsonl")
+        assert after == before
+        assert len(runs) == 6  # gold and final SQL of each of the three states
+
+    def test_resumed_bench_counts_journaled_verdicts(self, runner, db_root, bird_items_file,
+                                                     script_config, tmp_path, monkeypatch):
+        journal = tmp_path / "journal.jsonl"
+        first = self.bench(runner, db_root, bird_items_file, script_config, journal)
+        _no_sql(monkeypatch)
+        again = self.bench(runner, db_root, bird_items_file, script_config, journal)
+        assert again["ex_pct"] == first["ex_pct"]
+        assert abs(again["ex_pct"] - 200.0 / 3) < 1e-9
 
 
 class TestEarlierJournal:

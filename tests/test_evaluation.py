@@ -4,8 +4,10 @@ import pytest
 
 from metric_fixture import EXPECTED_EX, METRIC_ITEMS, oracle_exec_match
 
+from text2sql import evaluation
 from text2sql.datasets import Task
 from text2sql.evaluation import (
+    VES_REPEATS,
     ErrorClass,
     ItemScore,
     build_report,
@@ -73,6 +75,28 @@ class TestVes:
                            db_paths["shop"], run_timer=lambda db, sql: 1.0)
         assert score.ves_ratio is None
         assert build_report([score]).ves == 0.0
+
+    def test_gold_and_pred_timed_in_turn_without_warmup(self, db_paths):
+        calls = []
+        times = {"gold": [1.0, 9.0, 1.0], "pred": [1.0, 1.0, 4.0]}
+
+        def timer(db, sql):
+            calls.append(sql)
+            return times[sql].pop(0)
+        ratio = ves_ratio("pred", "gold", db_paths["shop"], repeats=3, run_timer=timer)
+        assert calls == ["gold", "pred"] * 3
+        assert ratio == 1.0  # per-pair ratios 1, 9 and 0.25; their median is 1
+
+    def test_ex_runs_are_the_warmup(self, db_paths, monkeypatch):
+        runs = []
+        original = evaluation.execute_sql
+        monkeypatch.setattr(evaluation, "execute_sql",
+                            lambda db, sql, **kw: runs.append(sql) or original(db, sql, **kw))
+        score = score_item("x", "SELECT p.name FROM products AS p", "SELECT name FROM products",
+                           db_paths["shop"])
+        assert score.ex
+        gold, pred = "SELECT name FROM products", "SELECT p.name FROM products AS p"
+        assert runs == [gold, pred] * (1 + VES_REPEATS)
 
     def test_real_timer_positive(self, db_paths):
         ratio = ves_ratio("SELECT name FROM products", "SELECT name FROM products",

@@ -283,9 +283,33 @@ class TestNormalizeRows:
         assert rows_equal([(1,), (1,)], [(1,)], dedupe=True)
 
     def test_numeric_tolerance(self):
-        assert rows_equal([(1.0000001,)], [(1.0,)])
+        assert rows_equal([(1.0 + 1e-12,)], [(1.0,)])
+        assert not rows_equal([(1.0000001,)], [(1.0,)])
         assert not rows_equal([(1.1,)], [(1.0,)])
         assert rows_equal([(2,)], [(2.0,)])
+
+    def test_integers_compare_exactly(self):
+        assert not rows_equal([(10000000,)], [(10000001,)])
+        assert not rows_equal([(2**53 + 1,)], [(2**53,)])
+        assert not rows_equal([(20000003,)], [(20000000.0,)])
+        assert rows_equal([(12345678901234,)], [(12345678901234.0,)])
+
+    def test_float_sum_equals_its_decimal(self):
+        assert rows_equal([(0.1 + 0.2,)], [(0.3,)])
+        assert rows_equal([(0.1 + 0.2, "x")], [(0.3, "x")], order_sensitive=True)
+
+    def test_near_equal_floats_sorting_apart(self):
+        # each side sorts its near-equal floats in the other order
+        gold = [(0.1 + 0.2, "x"), (0.3, "y")]
+        pred = [(0.3, "x"), (0.1 + 0.2, "y")]
+        assert rows_equal(pred, gold)
+        assert rows_equal([(2.5000000000000004, 1.0), (2.5, 3.0)],
+                          [(2.5, 1.0), (2.5, 3.0)])
+        assert not rows_equal([(0.3, "x"), (0.3, "x")], gold)
+
+    def test_near_equal_floats_collapse_under_dedupe(self):
+        assert rows_equal([(0.3,), (0.1 + 0.2,)], [(0.3,)], dedupe=True)
+        assert not rows_equal([(0.3,), (0.1 + 0.2,)], [(0.3,)])
 
     def test_null_distinct_from_empty_string(self):
         assert not rows_equal([(None,)], [("",)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -19,6 +20,7 @@ from text2sql.pipeline import (
     PipelineState,
     decoder,
     export_instruction_data,
+    recorded_ex,
 )
 
 GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
@@ -231,6 +233,30 @@ class TestRunBatch:
         assert states[1].error is not None
         assert states[2].error is None
 
+    def test_verdicts_do_not_depend_on_parallelism(self, registry, scripted_backend):
+        tasks = [banking_task(str(i), gold="SELECT 'F'" if i % 3 else "SELECT 'M'")
+                 for i in range(9)] + [banking_task("9")]
+        verdicts = []
+        for workers in (1, 2):
+            pipe = Pipeline(scripted_backend(32768, strict=False), registry,
+                            PipelineConfig())
+            verdicts.append([s.ex_verdict for s in pipe.run_batch(tasks, parallelism=workers)])
+        assert verdicts[0] == verdicts[1]
+        assert [v.ex for v in verdicts[0][:9]] == [i % 3 != 0 for i in range(9)]
+        assert verdicts[0][9] is None  # no gold, no verdict
+
+    def test_verdict_holds_only_with_its_gold_and_file(self, registry, scripted_backend):
+        pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
+        [state] = pipe.run_batch([banking_task(gold="SELECT 'M'")])
+        db_path = registry.path("banking_system")
+        assert recorded_ex(state, db_path) is False
+        state.ex_verdict = dataclasses.replace(state.ex_verdict, ex=True)
+        assert recorded_ex(state, db_path) is True
+        stale = dataclasses.replace(state.ex_verdict, db_stamp=(0, 0, 0))
+        assert recorded_ex(dataclasses.replace(state, ex_verdict=stale), db_path) is None
+        state.task = banking_task(gold=None)
+        assert recorded_ex(state, db_path) is None
+
     def test_progress_stream(self, registry, scripted_backend):
         seen = []
         pipe = Pipeline(scripted_backend(32768, strict=False), registry,
@@ -245,7 +271,10 @@ class TestJournal:
     def test_golden_line_round_trips_byte_identical(self):
         text = GOLDEN_LINE.read_text(encoding="utf-8").rstrip("\n")
         state = decoder(PipelineState)(json.loads(text))
-        assert line(state) == text
+        # the line predates the EX verdict; it reads back as null, in key order
+        head, sep, tail = text.partition(', "final_sql": ')
+        assert line(state) == head + ', "ex_verdict": null' + sep + tail
+        assert state.ex_verdict is None
         outcome = state.refine_attempts[-1].outcome
         assert outcome.status is ExecStatus.OK
         assert outcome.row_count == 25
