@@ -17,6 +17,7 @@ from .schema import estimate_tokens
 logger = logging.getLogger(__name__)
 
 DEFAULT_CONTEXT_WINDOW = 32768
+DEFAULT_MAX_OUTPUT_TOKENS = 1024
 SCRIPT_ENTRY_PREFIX = "### MATCH:"
 
 
@@ -30,11 +31,10 @@ class ScriptMiss(Exception):
 
 @dataclass
 class ChatRequest:
+    """The prompt alone; model, temperature and token budget belong to the backend."""
+
     user_text: str
     system_text: str = ""
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-    model_name: str = ""
 
 
 @dataclass
@@ -116,6 +116,7 @@ class HttpBackend:
     def __init__(self, endpoint: str, model: str = "gpt-4",
                  api_key_env: str = "LLM_API_KEY",
                  context_window: int = DEFAULT_CONTEXT_WINDOW,
+                 max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
                  max_attempts: int = 3, base_delay: float = 1.0,
                  request_timeout: float = 120.0,
                  max_in_flight: Optional[int] = None,
@@ -128,6 +129,7 @@ class HttpBackend:
         self.model = model
         self.api_key_env = api_key_env
         self.context_window = context_window
+        self.max_output_tokens = max_output_tokens
         self.max_attempts = max_attempts
         self.base_delay = base_delay
         self.request_timeout = request_timeout
@@ -149,10 +151,10 @@ class HttpBackend:
             messages.append({"role": "system", "content": request.system_text})
         messages.append({"role": "user", "content": request.user_text})
         return {
-            "model": request.model_name or self.model,
+            "model": self.model,
             "messages": messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": 0.0,
+            "max_tokens": self.max_output_tokens,
         }
 
     def complete(self, request: ChatRequest) -> ChatResponse:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -10,7 +11,12 @@ from typing import Optional
 
 import click
 
-from .backend import DEFAULT_CONTEXT_WINDOW, HttpBackend, ScriptedBackend
+from .backend import (
+    DEFAULT_CONTEXT_WINDOW,
+    DEFAULT_MAX_OUTPUT_TOKENS,
+    HttpBackend,
+    ScriptedBackend,
+)
 from .datasets import DatabaseRegistry, Task, load_benchmark, load_column_descriptions
 from .evaluation import build_report, exec_match, score_item
 from .execution import execute_sql
@@ -25,6 +31,7 @@ from .pipeline import (
 
 ENV_PREFIX = "TEXT2SQL_"
 
+# Each setting's default, whose type is the type the setting is read as.
 _DEFAULTS = {
     "backend": "http",
     "endpoint": "",
@@ -33,31 +40,23 @@ _DEFAULTS = {
     "script_path": "",
     "script_strict": False,
     "context_window": DEFAULT_CONTEXT_WINDOW,
-    "prune_fraction": 0.8,
-    "shots": 2,
-    "max_rounds": 3,
-    "timeout": 30.0,
-    "parallelism": 1,
-    "max_output_tokens": 1024,
+    "max_output_tokens": DEFAULT_MAX_OUTPUT_TOKENS,
     "max_in_flight": 0,
+    **dataclasses.asdict(PipelineConfig()),
 }
-
-_INT_KEYS = {"context_window", "shots", "max_rounds", "parallelism",
-             "max_output_tokens", "max_in_flight"}
-_FLOAT_KEYS = {"prune_fraction", "timeout"}
-_BOOL_KEYS = {"script_strict"}
 
 
 def _coerce(key: str, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
-        if isinstance(value, bool):
-            return value
+    kind = type(_DEFAULTS[key])
+    if kind is str or type(value) is kind:
+        return value
+    if kind is bool:
         return str(value).strip().lower() in ("1", "true", "yes", "on")
-    return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise click.UsageError(f"setting {key!r} must be {kind.__name__}, "
+                               f"got {value!r}") from None
 
 
 def resolve_settings(config_path: Optional[str], flags: dict) -> dict:
@@ -81,6 +80,7 @@ def resolve_settings(config_path: Optional[str], flags: dict) -> dict:
     for key, value in flags.items():
         if value is not None and key in settings:
             settings[key] = _coerce(key, value)
+    pipeline_config(settings)
     return settings
 
 
@@ -98,20 +98,18 @@ def build_backend(settings: dict):
         return HttpBackend(endpoint=settings["endpoint"], model=settings["model"],
                            api_key_env=settings["api_key_env"],
                            context_window=settings["context_window"],
+                           max_output_tokens=settings["max_output_tokens"],
                            max_in_flight=settings["max_in_flight"] or None)
     raise click.UsageError(f"unknown backend {settings['backend']!r}")
 
 
 def pipeline_config(settings: dict) -> PipelineConfig:
-    return PipelineConfig(
-        prune_fraction=settings["prune_fraction"],
-        shots=settings["shots"],
-        max_rounds=settings["max_rounds"],
-        timeout=settings["timeout"],
-        parallelism=settings["parallelism"],
-        max_output_tokens=settings["max_output_tokens"],
-        model_name=settings["model"],
-    )
+    """The pipeline's settings; a value it refuses is a usage error."""
+    try:
+        return PipelineConfig(**{f.name: settings[f.name]
+                                 for f in dataclasses.fields(PipelineConfig)})
+    except ValueError as exc:
+        raise click.UsageError(f"bad setting: {exc}") from None
 
 
 def _backend_options(fn):

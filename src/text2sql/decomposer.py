@@ -42,13 +42,9 @@ class DecompositionResult:
 
 
 def build_decomposer_prompt(schema_text: str, fk_text: str, question: str,
-                            evidence: str = "", shots: int = 2,
-                            max_output_tokens: int = 1024,
-                            model_name: str = "") -> ChatRequest:
-    user_text = build_decomposer_user_text(schema_text, fk_text, question,
-                                           evidence, shots)
-    return ChatRequest(user_text=user_text, max_output_tokens=max_output_tokens,
-                       model_name=model_name)
+                            evidence: str = "", shots: int = 2) -> ChatRequest:
+    return ChatRequest(user_text=build_decomposer_user_text(
+        schema_text, fk_text, question, evidence, shots))
 
 
 def extract_sql_blocks(text: str) -> list[tuple[int, int, str]]:

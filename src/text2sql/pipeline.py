@@ -25,15 +25,19 @@ from .decomposer import (
     parse_decomposition,
 )
 from .evaluation import ExVerdict, db_stamp, exec_match, score_ex
-from .refiner import RefineAttempt, refine_loop
+from .execution import DEFAULT_TIMEOUT
+from .refiner import MAX_ROUNDS, RefineAttempt, refine_loop
 from .schema import render_foreign_keys, render_schema_description, render_table_blocks
 from .selector import (
+    PRUNE_FRACTION,
     AllTablesDropped,
+    AppliedPruning,
     NoJsonFound,
     apply_pruning,
     build_selector_prompt,
     needs_pruning,
     parse_pruning_decision,
+    pruned_schema,
 )
 
 logger = logging.getLogger(__name__)
@@ -53,13 +57,18 @@ class MissingGold(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    prune_fraction: float = 0.8
+    prune_fraction: float = PRUNE_FRACTION
     shots: int = 2
-    max_rounds: int = 3
-    timeout: float = 30.0
+    max_rounds: int = MAX_ROUNDS
+    timeout: float = DEFAULT_TIMEOUT
     parallelism: int = 1
-    max_output_tokens: int = 1024
-    model_name: str = ""
+
+    def __post_init__(self):
+        if self.shots not in (0, 1, 2):
+            raise ValueError(f"shots must be 0, 1, or 2, got {self.shots!r}")
+        for name in ("max_rounds", "parallelism", "timeout"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -74,19 +83,12 @@ class LlmCall:
 
 
 @dataclass
-class PruningTrace:
-    verdicts: dict[str, str | list[str]]
-    selection: dict[str, list[str]]
-    warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
 class PipelineState:
     """One question's trace; its fields, recursively, are the keys of a journal line."""
 
     task: Task
     final_sql: str = ""
-    pruning: Optional[PruningTrace] = None
+    pruning: Optional[AppliedPruning] = None
     steps: list[DecompositionStep] = field(default_factory=list)
     refine_attempts: list[RefineAttempt] = field(default_factory=list)
     llm_calls: list[LlmCall] = field(default_factory=list)
@@ -194,33 +196,22 @@ class Pipeline:
             full_description = render_schema_description(schema)
             if needs_pruning(full_description, self.backend.context_window,
                              config.prune_fraction):
-                request = build_selector_prompt(
-                    schema, task.question, task.evidence,
-                    max_output_tokens=config.max_output_tokens,
-                    model_name=config.model_name)
+                request = build_selector_prompt(schema, task.question, task.evidence)
                 response = self._complete(SELECTOR, request, state.llm_calls)
                 try:
                     decision = parse_pruning_decision(response.text, schema)
-                    pruned = apply_pruning(schema, decision)
+                    state.pruning = apply_pruning(schema, decision)
                 except (NoJsonFound, AllTablesDropped) as exc:
                     logger.warning("selector failed for task %s (%s); "
                                    "using the full schema", task.task_id, exc)
-                    state.pruning = None
                 else:
-                    state.pruning = PruningTrace(
-                        verdicts=decision.verdicts,
-                        selection={k: list(v) for k, v in pruned.selection.items()},
-                        warnings=decision.warnings,
-                    )
-                    working = pruned.schema
+                    working = pruned_schema(schema, state.pruning.selection)
 
             desc_str = render_table_blocks(working)
             fk_str = render_foreign_keys(working)
 
-            request = build_decomposer_prompt(
-                desc_str, fk_str, task.question, task.evidence,
-                shots=config.shots, max_output_tokens=config.max_output_tokens,
-                model_name=config.model_name)
+            request = build_decomposer_prompt(desc_str, fk_str, task.question,
+                                              task.evidence, shots=config.shots)
             response = self._complete(DECOMPOSER, request, state.llm_calls)
             decomposition = parse_decomposition(response.text)
             state.steps = list(decomposition.steps)
@@ -231,8 +222,7 @@ class Pipeline:
                     db_path, task.question, task.evidence,
                     desc_str, fk_str, decomposition.final_sql,
                     max_rounds=config.max_rounds, timeout=config.timeout,
-                    clock=self.clock, max_output_tokens=config.max_output_tokens,
-                    model_name=config.model_name)
+                    clock=self.clock)
             except (BackendUnavailable, ScriptMiss) as exc:
                 state.error = f"refiner backend failure: {exc}"
                 state.final_sql = decomposition.final_sql
@@ -264,8 +254,7 @@ class Pipeline:
                 logger.exception("scoring task %s failed", task.task_id)
         return state
 
-    def run_batch(self, tasks: Sequence[Task], parallelism: Optional[int] = None,
-                  journal_path: Optional[str] = None,
+    def run_batch(self, tasks: Sequence[Task], journal_path: Optional[str] = None,
                   progress: Optional[Callable[[int, int, PipelineState], None]] = None,
                   ) -> list[PipelineState]:
         """Run tasks with per-task isolation; completed work is never redone.
@@ -276,10 +265,6 @@ class Pipeline:
         already present, except those that failed on the backend
         (``RETRIED_ERRORS``); their new state is appended after the old one.
         """
-        workers = parallelism or self.config.parallelism
-        if workers < 1:
-            raise ValueError("parallelism must be >= 1")
-
         journal = Journal(journal_path) if journal_path else None
         done = {task_id: state
                 for task_id, state in (journal.load() if journal else {}).items()
@@ -291,7 +276,7 @@ class Pipeline:
         total = len(tasks)
 
         if pending:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
                 futures = {pool.submit(self._run_and_score, t): t for t in pending}
                 for future in as_completed(futures):
                     state = future.result()
@@ -358,7 +343,7 @@ REFINER_TARGET_NOTE = "target is the post-correction response"
 def export_instruction_data(states: Iterable[PipelineState],
                             registry: DatabaseRegistry,
                             gold_lookup: Optional[Mapping[str, str]] = None,
-                            timeout: float = 30.0) -> list[InstructionRecord]:
+                            timeout: float = DEFAULT_TIMEOUT) -> list[InstructionRecord]:
     """One record per agent call, for states whose final SQL execution-matches gold.
 
     A journaled verdict is used while it holds (``recorded_ex``); any other

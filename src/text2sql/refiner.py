@@ -32,9 +32,8 @@ class RefineAttempt:
 
 
 def build_refiner_prompt(question: str, evidence: str, schema_text: str,
-                         fk_text: str, old_sql: str, outcome: ExecutionOutcome,
-                         max_output_tokens: int = 1024,
-                         model_name: str = "") -> ChatRequest:
+                         fk_text: str, old_sql: str,
+                         outcome: ExecutionOutcome) -> ChatRequest:
     if outcome.status is ExecStatus.OK:
         raise ValueError("refiner prompt requires a failed outcome")
     if outcome.status is ExecStatus.EMPTY_RESULT:
@@ -52,17 +51,15 @@ def build_refiner_prompt(question: str, evidence: str, schema_text: str,
         sqlite_error=sqlite_error,
         exception_class=exception_class,
     )
-    return ChatRequest(user_text=user_text, max_output_tokens=max_output_tokens,
-                       model_name=model_name)
+    return ChatRequest(user_text=user_text)
 
 
 def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
                 db_path: str, question: str, evidence: str,
                 schema_text: str, fk_text: str, initial_sql: str,
                 max_rounds: int = MAX_ROUNDS, timeout: float = DEFAULT_TIMEOUT,
-                clock: Callable[[], float] = time.monotonic,
-                max_output_tokens: int = 1024,
-                model_name: str = "") -> tuple[str, list[RefineAttempt]]:
+                clock: Callable[[], float] = time.monotonic
+                ) -> tuple[str, list[RefineAttempt]]:
     """Execute, and while faulty, ask for corrections up to ``max_rounds`` times.
 
     Every outcome except OK with rows calls for a correction, which
@@ -84,9 +81,7 @@ def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
             attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary))
             return sql, attempts
         request = build_refiner_prompt(question, evidence, schema_text, fk_text,
-                                       sql, outcome,
-                                       max_output_tokens=max_output_tokens,
-                                       model_name=model_name)
+                                       sql, outcome)
         corrected = extract_last_sql(complete(request).text)
         attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary,
                                       corrected_sql=corrected))

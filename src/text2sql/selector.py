@@ -47,40 +47,33 @@ class PruningDecision:
 
 
 @dataclass
-class PrunedSchema:
-    """A selection over a source schema, with the enforcement rules applied."""
+class AppliedPruning:
+    """A decision after enforcement: the ``pruning`` record of a journal line."""
 
-    source: DatabaseSchema
+    verdicts: dict[str, str | list[str]]
     selection: dict[str, list[str]]
+    warnings: list[str] = field(default_factory=list)
 
-    @property
-    def schema(self) -> DatabaseSchema:
-        """The retained sub-schema as a standalone DatabaseSchema."""
-        tables = []
-        for t in self.source.tables:
-            if t.name not in self.selection:
-                continue
-            keep = {c.lower() for c in self.selection[t.name]}
-            cols = tuple(c for c in t.columns if c.name.lower() in keep)
-            tables.append(TableSchema(name=t.name, columns=cols))
-        schema = DatabaseSchema(
-            db_id=self.source.db_id,
-            tables=tuple(tables),
-            foreign_keys=tuple(self._surviving_foreign_keys()),
-            db_path=self.source.db_path,
-        )
-        return schema
 
-    def _surviving_foreign_keys(self):
-        keep = {t: {c.lower() for c in cols} for t, cols in self.selection.items()}
-        by_lower = {t.lower(): t for t in self.selection}
-        for fk in self.source.foreign_keys:
-            src = by_lower.get(fk.from_table.lower())
-            dst = by_lower.get(fk.to_table.lower())
-            if src is None or dst is None:
-                continue
-            if fk.from_column.lower() in keep[src] and fk.to_column.lower() in keep[dst]:
-                yield fk
+def pruned_schema(db: DatabaseSchema, selection: dict[str, list[str]]) -> DatabaseSchema:
+    """The part of ``db`` that ``selection`` keeps, as a standalone schema.
+
+    Names match case-insensitively; a foreign key survives when both of its
+    endpoint columns do.
+    """
+    keep = {t.lower(): {c.lower() for c in cols} for t, cols in selection.items()}
+    tables = []
+    for t in db.tables:
+        cols = keep.get(t.name.lower())
+        if cols is not None:
+            tables.append(TableSchema(name=t.name, columns=tuple(
+                c for c in t.columns if c.name.lower() in cols)))
+    foreign_keys = tuple(
+        fk for fk in db.foreign_keys
+        if fk.from_column.lower() in keep.get(fk.from_table.lower(), ())
+        and fk.to_column.lower() in keep.get(fk.to_table.lower(), ()))
+    return DatabaseSchema(db_id=db.db_id, tables=tuple(tables),
+                          foreign_keys=foreign_keys, db_path=db.db_path)
 
 
 def needs_pruning(rendered_schema: str, backend_context_window: int,
@@ -91,8 +84,8 @@ def needs_pruning(rendered_schema: str, backend_context_window: int,
     return estimate_tokens(rendered_schema) > fraction * backend_context_window
 
 
-def build_selector_prompt(db: DatabaseSchema, question: str, evidence: str = "",
-                          max_output_tokens: int = 1024, model_name: str = "") -> ChatRequest:
+def build_selector_prompt(db: DatabaseSchema, question: str,
+                          evidence: str = "") -> ChatRequest:
     user_text = fill(
         SELECTOR_TEMPLATE,
         db_id=db.db_id,
@@ -101,8 +94,7 @@ def build_selector_prompt(db: DatabaseSchema, question: str, evidence: str = "",
         query=question,
         evidence=evidence,
     )
-    return ChatRequest(user_text=user_text, max_output_tokens=max_output_tokens,
-                       model_name=model_name)
+    return ChatRequest(user_text=user_text)
 
 
 def _find_json_object(text: str) -> Optional[dict]:
@@ -169,7 +161,7 @@ def parse_pruning_decision(response_text: str, db: DatabaseSchema) -> PruningDec
     return PruningDecision(verdicts=verdicts, warnings=warnings)
 
 
-def apply_pruning(db: DatabaseSchema, decision: PruningDecision) -> PrunedSchema:
+def apply_pruning(db: DatabaseSchema, decision: PruningDecision) -> AppliedPruning:
     """Materialize a decision, enforcing the hard retention guarantees.
 
     Rules: kept tables always retain their primary-key columns and at least
@@ -210,4 +202,5 @@ def apply_pruning(db: DatabaseSchema, decision: PruningDecision) -> PrunedSchema
             kept.add(name.lower())
         selection[t.name] = [c.name for c in t.columns if c.name.lower() in kept]
 
-    return PrunedSchema(source=db, selection=selection)
+    return AppliedPruning(verdicts=decision.verdicts, selection=selection,
+                          warnings=decision.warnings)

@@ -18,7 +18,7 @@ from text2sql.schema import (
     TableSchema,
     render_schema_description,
 )
-from text2sql.selector import AllTablesDropped, PruningDecision, apply_pruning
+from text2sql.selector import AllTablesDropped, PruningDecision, apply_pruning, pruned_schema
 
 # ---------------------------------------------------------------------------
 # randomized schemas (<= 12 tables, <= 20 columns each) and pruning decisions
@@ -100,7 +100,7 @@ def check_pruning_enforcement(pair):
 
     # foreign-key closure on the pruned schema
     kept = {t: {c.lower() for c in cols} for t, cols in selection.items()}
-    for fk in pruned.schema.foreign_keys:
+    for fk in pruned_schema(db, selection).foreign_keys:
         assert fk.from_column.lower() in kept[fk.from_table]
         assert fk.to_column.lower() in kept[fk.to_table]
 
@@ -113,9 +113,9 @@ def check_pruning_idempotence(pair):
         pruned = apply_pruning(db, decision)
     except AllTablesDropped:
         return
-    again = apply_pruning(pruned.schema,
-                          PruningDecision({t: "keep_all" for t in pruned.selection}))
-    assert again.schema == pruned.schema
+    kept = pruned_schema(db, pruned.selection)
+    again = apply_pruning(kept, PruningDecision({t: "keep_all" for t in pruned.selection}))
+    assert pruned_schema(kept, again.selection) == kept
 
 
 # ---------------------------------------------------------------------------

@@ -256,11 +256,10 @@ class TestCriterion8LiveSmoke:
         tasks = bench.tasks[:10]
         backend = HttpBackend(LIVE_ENDPOINT,
                               model=os.environ.get("TEXT2SQL_MODEL", "gpt-4"))
-        pipe = Pipeline(backend, bench.registry(), PipelineConfig())
+        pipe = Pipeline(backend, bench.registry(), PipelineConfig(parallelism=2))
 
         start = time.monotonic()
-        states = pipe.run_batch(tasks, parallelism=2,
-                                journal_path=str(tmp_path / "smoke.jsonl"))
+        states = pipe.run_batch(tasks, journal_path=str(tmp_path / "smoke.jsonl"))
         elapsed = time.monotonic() - start
         assert elapsed < 600.0
 

@@ -6,6 +6,7 @@ import pytest
 import requests
 
 from text2sql.backend import (
+    DEFAULT_MAX_OUTPUT_TOKENS,
     BackendUnavailable,
     ChatRequest,
     HttpBackend,
@@ -136,6 +137,27 @@ class TestHttpBackend:
             {"role": "user", "content": "u"},
         ]
         assert call["headers"]["Authorization"] == "Bearer sekrit"
+
+    def test_wire_format(self):
+        session = _FakeSession([_FakeResponse(200, ok_payload())] * 2)
+        backend = self.make_backend(session, model="m", max_output_tokens=77)
+        backend.complete(ChatRequest(user_text="u", system_text="s"))
+        backend.complete(ChatRequest(user_text="u"))
+        body = session.calls[0]["json"]
+        assert list(body) == ["model", "messages", "temperature", "max_tokens"]
+        assert body == {
+            "model": "m",
+            "messages": [{"role": "system", "content": "s"},
+                         {"role": "user", "content": "u"}],
+            "temperature": 0.0,
+            "max_tokens": 77,
+        }
+        assert session.calls[1]["json"]["messages"] == [{"role": "user", "content": "u"}]
+
+    def test_default_token_budget(self):
+        session = _FakeSession([_FakeResponse(200, ok_payload())])
+        self.make_backend(session).complete(make_request())
+        assert session.calls[0]["json"]["max_tokens"] == DEFAULT_MAX_OUTPUT_TOKENS == 1024
 
     def test_retries_on_429_then_succeeds(self):
         session = _FakeSession([

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 from metric_fixture import METRIC_ITEMS
 
 from text2sql import evaluation, refiner
-from text2sql.cli import main
+from text2sql.backend import DEFAULT_MAX_OUTPUT_TOKENS
+from text2sql.cli import build_backend, main, resolve_settings
 from text2sql.pipeline import Journal
 
 GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
@@ -128,6 +129,64 @@ class TestAsk:
             "--backend", "http",
         ])
         assert result.exit_code == 2
+
+
+class TestSettings:
+    def write_config(self, tmp_path, script_config, **overrides):
+        settings = json.loads(Path(script_config).read_text(encoding="utf-8"))
+        path = tmp_path / "overridden.json"
+        path.write_text(json.dumps({**settings, **overrides}), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("overrides, env, key", [
+        ({"timeout": "soon"}, {}, "timeout"),
+        ({"shots": 5}, {}, "shots"),
+        ({"max_rounds": 0}, {}, "max_rounds"),
+        ({"parallelism": 0}, {}, "parallelism"),
+        ({}, {"TEXT2SQL_PARALLELISM": "abc"}, "parallelism"),
+        ({"context_window": None}, {}, "context_window"),
+    ])
+    def test_bad_value_exits_two(self, runner, banking_bird_root, bird_items_file,
+                                 script_config, tmp_path, overrides, env, key):
+        journal = tmp_path / "journal.jsonl"
+        result = runner.invoke(main, [
+            "bench", "--benchmark", "bird", "--items", bird_items_file,
+            "--db-root", str(banking_bird_root), "--journal", str(journal),
+            "--config", self.write_config(tmp_path, script_config, **overrides),
+        ], env=env)
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        assert not journal.exists()
+
+    def test_bad_timeout_flag_exits_two_on_eval(self, runner, banking_bird_root,
+                                                bird_items_file, tmp_path):
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text(json.dumps({"0": "SELECT 'F'"}), encoding="utf-8")
+        result = runner.invoke(main, [
+            "eval", "--predictions", str(predictions), "--benchmark", "bird",
+            "--items", bird_items_file, "--db-root", str(banking_bird_root),
+            "--out", str(tmp_path / "report"), "--timeout", "0",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "timeout" in result.output
+
+    def test_types_follow_the_defaults(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoint": None, "timeout": 5, "script_strict": "yes"}),
+                          encoding="utf-8")
+        monkeypatch.setenv("TEXT2SQL_MAX_ROUNDS", "4")
+        settings = resolve_settings(str(config), {"shots": "1"})
+        assert settings["endpoint"] is None
+        assert settings["timeout"] == 5.0 and isinstance(settings["timeout"], float)
+        assert settings["script_strict"] is True
+        assert (settings["max_rounds"], settings["shots"]) == (4, 1)
+        assert settings["max_output_tokens"] == DEFAULT_MAX_OUTPUT_TOKENS
+
+    def test_build_backend_carries_model_and_token_budget(self, monkeypatch):
+        monkeypatch.setenv("TEXT2SQL_MAX_OUTPUT_TOKENS", "77")
+        backend = build_backend(resolve_settings(None, {"endpoint": "http://llm.test",
+                                                        "model": "m"}))
+        assert (backend.model, backend.max_output_tokens) == ("m", 77)
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from text2sql.decomposer import (
@@ -10,7 +12,8 @@ from text2sql.decomposer import (
 )
 from text2sql.schema import estimate_tokens
 
-BANKING_ANSWER = open("tests/data/scripted_banking.txt", encoding="utf-8").read().split(
+BANKING_SCRIPT = Path(__file__).parent / "data" / "scripted_banking.txt"
+BANKING_ANSWER = BANKING_SCRIPT.read_text(encoding="utf-8").split(
     "### MATCH: decompose the question into subquestions\n")[1].rstrip("\n")
 
 FINAL_GENDER_SQL = (

@@ -11,7 +11,7 @@ from dbfixtures import BANKING_DESCRIPTIONS
 
 from text2sql.backend import ScriptedBackend
 from text2sql.datasets import DatabaseRegistry, Task
-from text2sql.execution import ExecStatus
+from text2sql.execution import DEFAULT_TIMEOUT, ExecStatus
 from text2sql.pipeline import (
     Journal,
     MissingGold,
@@ -22,6 +22,8 @@ from text2sql.pipeline import (
     export_instruction_data,
     recorded_ex,
 )
+from text2sql.refiner import MAX_ROUNDS
+from text2sql.selector import PRUNE_FRACTION
 
 GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
 
@@ -66,6 +68,21 @@ def scripted_backend(scripted_banking_path):
 def banking_task(task_id="0", gold=None):
     return Task(task_id=task_id, db_id="banking_system", question=QUESTION,
                 evidence=EVIDENCE, gold_sql=gold, difficulty="simple")
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("shots", 3), ("shots", -1), ("max_rounds", 0), ("parallelism", 0),
+        ("timeout", 0.0), ("timeout", -1.0),
+    ])
+    def test_bad_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig(**{key: value})
+
+    def test_defaults_are_the_agents_own(self):
+        assert PipelineConfig() == PipelineConfig(
+            prune_fraction=PRUNE_FRACTION, shots=2, max_rounds=MAX_ROUNDS,
+            timeout=DEFAULT_TIMEOUT, parallelism=1)
 
 
 class TestRunQuestion:
@@ -161,9 +178,9 @@ class TestRunQuestion:
 class TestRunBatch:
     def test_input_order_with_parallelism(self, registry, scripted_backend):
         pipe = Pipeline(scripted_backend(32768, strict=False), registry,
-                        PipelineConfig())
+                        PipelineConfig(parallelism=4))
         tasks = [banking_task(task_id=str(i)) for i in range(10)]
-        states = pipe.run_batch(tasks, parallelism=4)
+        states = pipe.run_batch(tasks)
         assert [s.task.task_id for s in states] == [str(i) for i in range(10)]
 
     def test_batch_of_one_equals_run_question(self, registry, scripted_backend):
@@ -239,8 +256,8 @@ class TestRunBatch:
         verdicts = []
         for workers in (1, 2):
             pipe = Pipeline(scripted_backend(32768, strict=False), registry,
-                            PipelineConfig())
-            verdicts.append([s.ex_verdict for s in pipe.run_batch(tasks, parallelism=workers)])
+                            PipelineConfig(parallelism=workers))
+            verdicts.append([s.ex_verdict for s in pipe.run_batch(tasks)])
         assert verdicts[0] == verdicts[1]
         assert [v.ex for v in verdicts[0][:9]] == [i % 3 != 0 for i in range(9)]
         assert verdicts[0][9] is None  # no gold, no verdict

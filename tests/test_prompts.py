@@ -7,7 +7,12 @@ from text2sql.execution import ExecStatus, ExecutionOutcome
 from text2sql.prompts import fill
 from text2sql.refiner import build_refiner_prompt
 from text2sql.schema import render_foreign_keys, render_table_blocks
-from text2sql.selector import apply_pruning, build_selector_prompt, parse_pruning_decision
+from text2sql.selector import (
+    apply_pruning,
+    build_selector_prompt,
+    parse_pruning_decision,
+    pruned_schema,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -24,7 +29,7 @@ ANSWER = """{
 
 def pruned_texts(banking_schema):
     decision = parse_pruning_decision(ANSWER, banking_schema)
-    pruned = apply_pruning(banking_schema, decision).schema
+    pruned = pruned_schema(banking_schema, apply_pruning(banking_schema, decision).selection)
     return render_table_blocks(pruned), render_foreign_keys(pruned)
 
 

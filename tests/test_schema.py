@@ -18,7 +18,7 @@ from text2sql.schema import (
     render_schema_description,
     render_table_blocks,
 )
-from text2sql.selector import PrunedSchema
+from text2sql.selector import pruned_schema
 
 
 def make_db(tmp_path, name, script):
@@ -175,7 +175,7 @@ class TestRendering:
         assert "    (account_id, the id of the account.)," in text
 
     def test_single_table_selection(self, banking_schema):
-        pruned = PrunedSchema(banking_schema, {"district": ["district_id", "A11"]}).schema
+        pruned = pruned_schema(banking_schema, {"district": ["district_id", "A11"]})
         text = render_schema_description(pruned)
         assert text.count("# Table:") == 1
         assert text.rstrip().endswith("[Foreign keys]")
@@ -204,20 +204,20 @@ class TestRendering:
             {"loan": ["loan_id", "status"]},
         ]
         for selection in selections:
-            pruned = PrunedSchema(banking_schema, selection).schema
+            pruned = pruned_schema(banking_schema, selection)
             assert len(render_schema_description(pruned)) <= full
 
     def test_foreign_key_closure(self, banking_schema):
         def fks(selection):
-            return render_foreign_keys(PrunedSchema(banking_schema, selection).schema)
+            return render_foreign_keys(pruned_schema(banking_schema, selection))
         text = fks({"client": ["client_id", "district_id"], "district": ["district_id"]})
         assert text == "client.`district_id` = district.`district_id`"
         # dropping the referenced column kills the key
         assert fks({"client": ["client_id"], "district": ["district_id"]}) == ""
 
     def test_selection_with_unknown_name_rejected(self, banking_schema):
-        pruned = PrunedSchema(banking_schema, {"ghost": ["x"], "client": ["ghost", "gender"]})
-        text = render_table_blocks(pruned.schema)
+        pruned = pruned_schema(banking_schema, {"ghost": ["x"], "client": ["ghost", "gender"]})
+        text = render_table_blocks(pruned)
         assert text.count("# Table:") == 1
         assert "ghost" not in text and "(gender, " in text
 

@@ -12,6 +12,7 @@ from text2sql.selector import (
     build_selector_prompt,
     needs_pruning,
     parse_pruning_decision,
+    pruned_schema,
     PruningDecision,
 )
 
@@ -129,13 +130,14 @@ class TestApplyPruning:
         assert set(pruned.selection) == {"account", "client", "district"}
         assert pruned.selection["district"] == ["district_id", "A2", "A4", "A6", "A7", "A11"]
         assert len(pruned.selection["account"]) == 4
-        fk_pairs = {(fk.from_table, fk.to_table) for fk in pruned.schema.foreign_keys}
+        fk_pairs = {(fk.from_table, fk.to_table)
+                    for fk in pruned_schema(banking_schema, pruned.selection).foreign_keys}
         assert fk_pairs == {("account", "district"), ("client", "district")}
 
     def test_keep_all_identity(self, banking_schema):
         decision = PruningDecision({t.name: "keep_all" for t in banking_schema.tables})
         pruned = apply_pruning(banking_schema, decision)
-        assert pruned.schema == banking_schema
+        assert pruned_schema(banking_schema, pruned.selection) == banking_schema
 
     def test_padding_to_six_columns(self, banking_schema):
         # district has 13 columns; listing 2 must pad to 6.
@@ -180,6 +182,6 @@ class TestApplyPruning:
         first = apply_pruning(banking_schema,
                               PruningDecision({"loan": "drop_all",
                                                "district": ["A11", "A2"]}))
-        again = apply_pruning(first.schema,
-                              PruningDecision({t: "keep_all" for t in first.selection}))
-        assert again.schema == first.schema
+        kept = pruned_schema(banking_schema, first.selection)
+        again = apply_pruning(kept, PruningDecision({t: "keep_all" for t in first.selection}))
+        assert pruned_schema(kept, again.selection) == kept
