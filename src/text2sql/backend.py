@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import requests
 
@@ -16,8 +15,14 @@ from .schema import estimate_tokens
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_MODEL = "gpt-4"
+DEFAULT_API_KEY_ENV = "LLM_API_KEY"
 DEFAULT_CONTEXT_WINDOW = 32768
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
+# The HTTP retry policy: attempts in all, the first backoff, the per-request timeout.
+MAX_ATTEMPTS = 3
+BASE_DELAY_S = 1.0
+REQUEST_TIMEOUT_S = 120.0
 SCRIPT_ENTRY_PREFIX = "### MATCH:"
 
 
@@ -50,6 +55,12 @@ def _require_user_text(request: ChatRequest) -> None:
         raise ValueError("ChatRequest.user_text must be nonempty")
 
 
+def _require_positive(name: str, value: int) -> int:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
 class ScriptedBackend:
     """Deterministic backend replaying canned responses by substring match.
 
@@ -63,7 +74,7 @@ class ScriptedBackend:
                  context_window: int = DEFAULT_CONTEXT_WINDOW):
         self.entries = list(entries)
         self.strict = strict
-        self.context_window = context_window
+        self.context_window = _require_positive("context_window", context_window)
 
     @classmethod
     def from_file(cls, path: str, strict: bool = False,
@@ -108,35 +119,26 @@ class HttpBackend:
     """Client for any endpoint speaking the common chat-completion protocol.
 
     Transient failures (timeouts, connection errors, 429, 5xx) are retried
-    with exponential backoff up to ``max_attempts`` total attempts; anything
+    with exponential backoff up to ``MAX_ATTEMPTS`` total attempts; anything
     else raises BackendUnavailable immediately. The bearer token is read from
     the environment at request time so credentials never live in config files.
     """
 
-    def __init__(self, endpoint: str, model: str = "gpt-4",
-                 api_key_env: str = "LLM_API_KEY",
+    def __init__(self, endpoint: str, model: str = DEFAULT_MODEL,
+                 api_key_env: str = DEFAULT_API_KEY_ENV,
                  context_window: int = DEFAULT_CONTEXT_WINDOW,
                  max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
-                 max_attempts: int = 3, base_delay: float = 1.0,
-                 request_timeout: float = 120.0,
-                 max_in_flight: Optional[int] = None,
                  session=None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
-        self.context_window = context_window
-        self.max_output_tokens = max_output_tokens
-        self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.request_timeout = request_timeout
+        self.context_window = _require_positive("context_window", context_window)
+        self.max_output_tokens = _require_positive("max_output_tokens", max_output_tokens)
         self._session = session or requests.Session()
         self._sleep = sleep
         self._clock = clock
-        self._gate = threading.BoundedSemaphore(max_in_flight) if max_in_flight else None
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -159,20 +161,14 @@ class HttpBackend:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         _require_user_text(request)
-        if self._gate is not None:
-            with self._gate:
-                return self._complete(request)
-        return self._complete(request)
-
-    def _complete(self, request: ChatRequest) -> ChatResponse:
         start = self._clock()
         payload = self._payload(request)
         last_error = ""
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 resp = self._session.post(self.endpoint, json=payload,
                                           headers=self._headers(),
-                                          timeout=self.request_timeout)
+                                          timeout=REQUEST_TIMEOUT_S)
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
             else:
@@ -184,12 +180,12 @@ class HttpBackend:
                 else:
                     raise BackendUnavailable(
                         f"HTTP {resp.status_code}: {resp.text[:500]}")
-            if attempt < self.max_attempts:
-                self._sleep(self.base_delay * 2 ** (attempt - 1))
+            if attempt < MAX_ATTEMPTS:
+                self._sleep(BASE_DELAY_S * 2 ** (attempt - 1))
         logger.warning("chat completion failed after %d attempt(s): %s",
-                       self.max_attempts, last_error)
+                       MAX_ATTEMPTS, last_error)
         raise BackendUnavailable(
-            f"giving up after {self.max_attempts} attempts: {last_error}")
+            f"giving up after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def _parse(self, request: ChatRequest, resp, latency: float) -> ChatResponse:
         try:

@@ -12,8 +12,10 @@ from typing import Optional
 import click
 
 from .backend import (
+    DEFAULT_API_KEY_ENV,
     DEFAULT_CONTEXT_WINDOW,
     DEFAULT_MAX_OUTPUT_TOKENS,
+    DEFAULT_MODEL,
     HttpBackend,
     ScriptedBackend,
 )
@@ -35,28 +37,40 @@ ENV_PREFIX = "TEXT2SQL_"
 _DEFAULTS = {
     "backend": "http",
     "endpoint": "",
-    "model": "gpt-4",
-    "api_key_env": "LLM_API_KEY",
+    "model": DEFAULT_MODEL,
+    "api_key_env": DEFAULT_API_KEY_ENV,
     "script_path": "",
     "script_strict": False,
     "context_window": DEFAULT_CONTEXT_WINDOW,
     "max_output_tokens": DEFAULT_MAX_OUTPUT_TOKENS,
-    "max_in_flight": 0,
     **dataclasses.asdict(PipelineConfig()),
 }
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(key: str, value):
+    """``value`` read as the type of the key's default, or a usage error.
+
+    A bool is not a number, a number with a fractional part is not an int,
+    and a bool is spelled as one of ``_BOOL_WORDS``.
+    """
     kind = type(_DEFAULTS[key])
     if kind is str or type(value) is kind:
         return value
     if kind is bool:
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise click.UsageError(f"setting {key!r} must be {kind.__name__}, "
-                               f"got {value!r}") from None
+        word = str(value).strip().lower()
+        if word in _BOOL_WORDS:
+            return _BOOL_WORDS[word]
+    elif not isinstance(value, bool) and not (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise click.UsageError(f"setting {key!r} must be {kind.__name__}, got {value!r}")
 
 
 def resolve_settings(config_path: Optional[str], flags: dict) -> dict:
@@ -71,35 +85,39 @@ def resolve_settings(config_path: Optional[str], flags: dict) -> dict:
         if not isinstance(file_settings, dict):
             raise click.UsageError("config file must contain a JSON object")
         for key, value in file_settings.items():
-            if key in settings:
-                settings[key] = _coerce(key, value)
+            if key not in settings:
+                raise click.UsageError(f"unknown setting {key!r} in config file {config_path}")
+            settings[key] = _coerce(key, value)
     for key in settings:
         env_value = os.environ.get(ENV_PREFIX + key.upper())
         if env_value is not None:
             settings[key] = _coerce(key, env_value)
     for key, value in flags.items():
-        if value is not None and key in settings:
+        if value is not None:
             settings[key] = _coerce(key, value)
     pipeline_config(settings)
     return settings
 
 
 def build_backend(settings: dict):
-    if settings["backend"] == "script":
-        if not settings["script_path"]:
-            raise click.UsageError("scripted backend requires --script")
-        return ScriptedBackend.from_file(settings["script_path"],
-                                         strict=settings["script_strict"],
-                                         context_window=settings["context_window"])
-    if settings["backend"] == "http":
-        if not settings["endpoint"]:
-            raise click.UsageError("http backend requires an endpoint "
-                                   "(--endpoint, TEXT2SQL_ENDPOINT, or config file)")
-        return HttpBackend(endpoint=settings["endpoint"], model=settings["model"],
-                           api_key_env=settings["api_key_env"],
-                           context_window=settings["context_window"],
-                           max_output_tokens=settings["max_output_tokens"],
-                           max_in_flight=settings["max_in_flight"] or None)
+    """The backend the settings name; a value it refuses is a usage error."""
+    try:
+        if settings["backend"] == "script":
+            if not settings["script_path"]:
+                raise click.UsageError("scripted backend requires --script")
+            return ScriptedBackend.from_file(settings["script_path"],
+                                             strict=settings["script_strict"],
+                                             context_window=settings["context_window"])
+        if settings["backend"] == "http":
+            if not settings["endpoint"]:
+                raise click.UsageError("http backend requires an endpoint "
+                                       "(--endpoint, TEXT2SQL_ENDPOINT, or config file)")
+            return HttpBackend(endpoint=settings["endpoint"], model=settings["model"],
+                               api_key_env=settings["api_key_env"],
+                               context_window=settings["context_window"],
+                               max_output_tokens=settings["max_output_tokens"])
+    except ValueError as exc:
+        raise click.UsageError(f"bad setting: {exc}") from None
     raise click.UsageError(f"unknown backend {settings['backend']!r}")
 
 
@@ -288,7 +306,7 @@ def cmd_eval(predictions_path, benchmark_name, items_path, db_root, out_prefix,
             bench.registry().path(task.db_id),
             timeout=settings["timeout"], difficulty=task.difficulty,
             with_ves=with_ves))
-    report = build_report(scores, bench.tasks)
+    report = build_report(scores)
 
     json_path = Path(f"{out_prefix}.json")
     text_path = Path(f"{out_prefix}.txt")

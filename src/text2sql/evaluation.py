@@ -8,7 +8,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .clauses import UnsupportedSyntax, parse_to_clause_set
 from .execution import (
@@ -46,7 +46,6 @@ class ItemScore:
     pred_outcome: OutcomeSummary
     gold_outcome: OutcomeSummary
     difficulty: str = "unlabeled"
-    review_semantic_correct: bool = False
 
     def __post_init__(self):
         if (self.ves_ratio is not None) != self.ex:
@@ -95,9 +94,8 @@ def _default_run_timer(db_path: str, sql: str) -> float:
 
 
 def ves_ratio(pred_sql: str, gold_sql: str, db_path: str,
-              repeats: int = VES_REPEATS,
               run_timer: Optional[RunTimer] = None) -> float:
-    """sqrt of the median per-pair ratio gold time / pred time over ``repeats`` pairs.
+    """sqrt of the median per-pair ratio gold time / pred time over ``VES_REPEATS`` pairs.
 
     Gold and pred are timed in turn, so a drift in host speed hits both sides
     of a pair alike. There is no warm-up: ``score_item`` calls this right
@@ -107,7 +105,7 @@ def ves_ratio(pred_sql: str, gold_sql: str, db_path: str,
     """
     timer = run_timer or _default_run_timer
     ratios = []
-    for _ in range(repeats):
+    for _ in range(VES_REPEATS):
         gold_t = timer(db_path, gold_sql)
         pred_t = timer(db_path, pred_sql)
         ratios.append(1.0 if gold_t <= 0 and pred_t <= 0 else gold_t / max(pred_t, 1e-9))
@@ -175,8 +173,7 @@ def classify_error(pred_outcome: ExecutionOutcome, gold_outcome: ExecutionOutcom
 
 def score_item(task_id: str, pred_sql: str, gold_sql: str, db_path: str,
                timeout: float = DEFAULT_TIMEOUT, difficulty: str = "unlabeled",
-               with_ves: bool = True, repeats: int = VES_REPEATS,
-               run_timer: Optional[RunTimer] = None,
+               with_ves: bool = True, run_timer: Optional[RunTimer] = None,
                dedupe: bool = False) -> ItemScore:
     pred_out, gold_out = _run_both(pred_sql, gold_sql, db_path, timeout)
     ex = _results_match(pred_out, gold_out, gold_sql, dedupe=dedupe)
@@ -184,8 +181,8 @@ def score_item(task_id: str, pred_sql: str, gold_sql: str, db_path: str,
     error_class = classify_error(pred_out, gold_out, ex, em)
     ratio = None
     if ex:
-        ratio = (ves_ratio(pred_sql, gold_sql, db_path, repeats=repeats,
-                           run_timer=run_timer) if with_ves else 1.0)
+        ratio = (ves_ratio(pred_sql, gold_sql, db_path, run_timer=run_timer)
+                 if with_ves else 1.0)
     return ItemScore(
         task_id=task_id,
         ex=ex,
@@ -195,7 +192,6 @@ def score_item(task_id: str, pred_sql: str, gold_sql: str, db_path: str,
         pred_outcome=OutcomeSummary.from_outcome(pred_out),
         gold_outcome=OutcomeSummary.from_outcome(gold_out),
         difficulty=difficulty,
-        review_semantic_correct=error_class is ErrorClass.WRONG_RESULT,
     )
 
 
@@ -227,7 +223,7 @@ class EvalReport:
                     "ves_ratio": s.ves_ratio,
                     "error_class": s.error_class.value,
                     "difficulty": s.difficulty,
-                    "review_semantic_correct": s.review_semantic_correct,
+                    "review_semantic_correct": s.error_class is ErrorClass.WRONG_RESULT,
                     "pred_status": s.pred_outcome.status.value,
                     "gold_status": s.gold_outcome.status.value,
                 }
@@ -275,17 +271,9 @@ def _aggregate(scores: Sequence[ItemScore]) -> dict:
             "em_coverage_pct": coverage, "ves": ves}
 
 
-def build_report(item_scores: Sequence[ItemScore],
-                 tasks: Optional[Iterable] = None) -> EvalReport:
+def build_report(item_scores: Sequence[ItemScore]) -> EvalReport:
     """Aggregate metrics overall and per difficulty label, plus the error histogram."""
-    difficulty_of: dict[str, str] = {}
-    if tasks is not None:
-        difficulty_of = {t.task_id: t.difficulty for t in tasks}
     scores = list(item_scores)
-    for s in scores:
-        if s.task_id in difficulty_of:
-            s.difficulty = difficulty_of[s.task_id]
-
     overall = _aggregate(scores)
     per_difficulty = {}
     for label in sorted({s.difficulty for s in scores}):

@@ -29,7 +29,6 @@ from .execution import DEFAULT_TIMEOUT
 from .refiner import MAX_ROUNDS, RefineAttempt, refine_loop
 from .schema import render_foreign_keys, render_schema_description, render_table_blocks
 from .selector import (
-    PRUNE_FRACTION,
     AllTablesDropped,
     AppliedPruning,
     NoJsonFound,
@@ -57,7 +56,6 @@ class MissingGold(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    prune_fraction: float = PRUNE_FRACTION
     shots: int = 2
     max_rounds: int = MAX_ROUNDS
     timeout: float = DEFAULT_TIMEOUT
@@ -194,8 +192,7 @@ class Pipeline:
             working = schema
 
             full_description = render_schema_description(schema)
-            if needs_pruning(full_description, self.backend.context_window,
-                             config.prune_fraction):
+            if needs_pruning(full_description, self.backend.context_window):
                 request = build_selector_prompt(schema, task.question, task.evidence)
                 response = self._complete(SELECTOR, request, state.llm_calls)
                 try:

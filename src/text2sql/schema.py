@@ -165,8 +165,8 @@ def _looks_like_email(s: str) -> bool:
 
 
 def _sample_values(conn: sqlite3.Connection, table: str, column: str,
-                   declared_type: str, k: int) -> list[str]:
-    """Top-k distinct non-null values by descending frequency, rendered as literals.
+                   declared_type: str) -> list[str]:
+    """The ``DEFAULT_SAMPLE_K`` most frequent distinct non-null values, as literals.
 
     Returns [] for columns the prompt should not show cell values for:
     numeric-affine declared types, value sets dominated by URLs/emails, or
@@ -195,7 +195,7 @@ def _sample_values(conn: sqlite3.Connection, table: str, column: str,
         lit = render_literal(value)
         if lit not in out:
             out.append(lit)
-        if len(out) >= k:
+        if len(out) >= DEFAULT_SAMPLE_K:
             break
     return out
 
@@ -217,8 +217,7 @@ def _open_readonly(db_path: str) -> sqlite3.Connection:
 
 
 def introspect(db_path: str,
-               descriptions: Optional[Mapping[str, Mapping[str, str]]] = None,
-               sample_k: int = DEFAULT_SAMPLE_K) -> DatabaseSchema:
+               descriptions: Optional[Mapping[str, Mapping[str, str]]] = None) -> DatabaseSchema:
     """Read tables, columns, keys, and sample values from a SQLite benchmark database.
 
     ``descriptions`` maps table -> column -> free-text description; entries are
@@ -246,7 +245,7 @@ def introspect(db_path: str,
                     name=cname,
                     declared_type=ctype or "",
                     description=desc,
-                    value_examples=tuple(_sample_values(conn, tname, cname, ctype or "", sample_k)),
+                    value_examples=tuple(_sample_values(conn, tname, cname, ctype or "")),
                     is_primary_key=pk > 0,
                 ))
             tables.append(TableSchema(name=tname, columns=tuple(cols)))

@@ -76,12 +76,9 @@ def pruned_schema(db: DatabaseSchema, selection: dict[str, list[str]]) -> Databa
                           foreign_keys=foreign_keys, db_path=db.db_path)
 
 
-def needs_pruning(rendered_schema: str, backend_context_window: int,
-                  fraction: float = PRUNE_FRACTION) -> bool:
-    """True when the schema text is too large a share of the model's context window."""
-    if backend_context_window <= 0:
-        raise ValueError("context window must be positive")
-    return estimate_tokens(rendered_schema) > fraction * backend_context_window
+def needs_pruning(rendered_schema: str, backend_context_window: int) -> bool:
+    """True when the schema text takes more than ``PRUNE_FRACTION`` of the context window."""
+    return estimate_tokens(rendered_schema) > PRUNE_FRACTION * backend_context_window
 
 
 def build_selector_prompt(db: DatabaseSchema, question: str,

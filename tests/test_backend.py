@@ -7,6 +7,7 @@ import requests
 
 from text2sql.backend import (
     DEFAULT_MAX_OUTPUT_TOKENS,
+    REQUEST_TIMEOUT_S,
     BackendUnavailable,
     ChatRequest,
     HttpBackend,
@@ -98,7 +99,8 @@ class _FakeSession:
         self.calls = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+        self.calls.append({"url": url, "json": json, "headers": headers,
+                           "timeout": timeout})
         action = self.responses.pop(0)
         if isinstance(action, Exception):
             raise action
@@ -114,7 +116,6 @@ def ok_payload(text="fine"):
 
 class TestHttpBackend:
     def make_backend(self, session, **kwargs):
-        kwargs.setdefault("base_delay", 0.0)
         kwargs.setdefault("sleep", lambda s: None)
         return HttpBackend("http://llm.test/v1/chat", session=session, **kwargs)
 
@@ -165,13 +166,13 @@ class TestHttpBackend:
             _FakeResponse(500),
             _FakeResponse(200, ok_payload()),
         ])
-        backend = self.make_backend(session, max_attempts=3)
+        backend = self.make_backend(session)
         assert backend.complete(make_request()).text == "fine"
-        assert len(session.calls) == 3
+        assert [c["timeout"] for c in session.calls] == [REQUEST_TIMEOUT_S] * 3 == [120.0] * 3
 
     def test_gives_up_after_cap(self, caplog):
         session = _FakeSession([_FakeResponse(503)] * 5)
-        backend = self.make_backend(session, max_attempts=3)
+        backend = self.make_backend(session)
         with caplog.at_level(logging.WARNING):
             with pytest.raises(BackendUnavailable):
                 backend.complete(make_request())
@@ -183,12 +184,12 @@ class TestHttpBackend:
             requests.ConnectionError("refused"),
             _FakeResponse(200, ok_payload()),
         ])
-        backend = self.make_backend(session, max_attempts=2)
+        backend = self.make_backend(session)
         assert backend.complete(make_request()).text == "fine"
 
     def test_client_error_fails_fast(self):
         session = _FakeSession([_FakeResponse(401, text="bad key")])
-        backend = self.make_backend(session, max_attempts=3)
+        backend = self.make_backend(session)
         with pytest.raises(BackendUnavailable):
             backend.complete(make_request())
         assert len(session.calls) == 1
@@ -196,8 +197,7 @@ class TestHttpBackend:
     def test_backoff_is_exponential(self):
         delays = []
         session = _FakeSession([_FakeResponse(500)] * 3)
-        backend = HttpBackend("http://llm.test", session=session, max_attempts=3,
-                              base_delay=1.0, sleep=delays.append)
+        backend = HttpBackend("http://llm.test", session=session, sleep=delays.append)
         with pytest.raises(BackendUnavailable):
             backend.complete(make_request())
         assert delays == [1.0, 2.0]
@@ -225,28 +225,16 @@ class TestConcurrency:
                 lambda _: backend.complete(make_request("q")).text, range(64)))
         assert texts == ["a"] * 64
 
-    def test_in_flight_limit_enforced(self):
-        import threading
-        active = 0
-        peak = 0
-        lock = threading.Lock()
-        barrier = threading.Event()
 
-        class SlowSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                nonlocal active, peak
-                with lock:
-                    active += 1
-                    peak = max(peak, active)
-                barrier.wait(0.05)
-                with lock:
-                    active -= 1
-                return _FakeResponse(200, ok_payload())
+class TestLimits:
+    def test_requires_positive_window(self):
+        for window in (0, -1):
+            with pytest.raises(ValueError, match="context_window"):
+                ScriptedBackend([], context_window=window)
+            with pytest.raises(ValueError, match="context_window"):
+                HttpBackend("http://llm.test", session=_FakeSession([]),
+                            context_window=window)
 
-        backend = HttpBackend("http://llm.test", session=SlowSession(),
-                              max_in_flight=2, base_delay=0.0,
-                              sleep=lambda s: None)
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(8) as pool:
-            list(pool.map(lambda _: backend.complete(make_request()), range(16)))
-        assert peak <= 2
+    def test_requires_positive_token_budget(self):
+        with pytest.raises(ValueError, match="max_output_tokens"):
+            HttpBackend("http://llm.test", session=_FakeSession([]), max_output_tokens=0)

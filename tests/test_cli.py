@@ -145,6 +145,12 @@ class TestSettings:
         ({"parallelism": 0}, {}, "parallelism"),
         ({}, {"TEXT2SQL_PARALLELISM": "abc"}, "parallelism"),
         ({"context_window": None}, {}, "context_window"),
+        ({"max_rounds": 2.7}, {}, "max_rounds"),
+        ({"shots": True}, {}, "shots"),
+        ({"timeout": True}, {}, "timeout"),
+        ({"script_strict": "maybe"}, {}, "script_strict"),
+        ({"context_window": 0}, {}, "context_window"),
+        ({"prune_fraction": 0.5}, {}, "prune_fraction"),
     ])
     def test_bad_value_exits_two(self, runner, banking_bird_root, bird_items_file,
                                  script_config, tmp_path, overrides, env, key):
@@ -172,13 +178,14 @@ class TestSettings:
 
     def test_types_follow_the_defaults(self, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"endpoint": None, "timeout": 5, "script_strict": "yes"}),
-                          encoding="utf-8")
+        config.write_text(json.dumps({"endpoint": None, "timeout": 5, "script_strict": "yes",
+                                      "parallelism": 2.0}), encoding="utf-8")
         monkeypatch.setenv("TEXT2SQL_MAX_ROUNDS", "4")
         settings = resolve_settings(str(config), {"shots": "1"})
         assert settings["endpoint"] is None
         assert settings["timeout"] == 5.0 and isinstance(settings["timeout"], float)
         assert settings["script_strict"] is True
+        assert settings["parallelism"] == 2 and isinstance(settings["parallelism"], int)
         assert (settings["max_rounds"], settings["shots"]) == (4, 1)
         assert settings["max_output_tokens"] == DEFAULT_MAX_OUTPUT_TOKENS
 

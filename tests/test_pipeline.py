@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ from text2sql.pipeline import (
     recorded_ex,
 )
 from text2sql.refiner import MAX_ROUNDS
-from text2sql.selector import PRUNE_FRACTION
 
 GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
 
@@ -81,8 +81,7 @@ class TestPipelineConfig:
 
     def test_defaults_are_the_agents_own(self):
         assert PipelineConfig() == PipelineConfig(
-            prune_fraction=PRUNE_FRACTION, shots=2, max_rounds=MAX_ROUNDS,
-            timeout=DEFAULT_TIMEOUT, parallelism=1)
+            shots=2, max_rounds=MAX_ROUNDS, timeout=DEFAULT_TIMEOUT, parallelism=1)
 
 
 class TestRunQuestion:
@@ -182,6 +181,32 @@ class TestRunBatch:
         tasks = [banking_task(task_id=str(i)) for i in range(10)]
         states = pipe.run_batch(tasks)
         assert [s.task.task_id for s in states] == [str(i) for i in range(10)]
+
+    def test_calls_in_flight_peak_at_parallelism(self, registry, scripted_backend):
+        backend = scripted_backend(32768, strict=False)
+        complete = backend.complete
+        lock = threading.Lock()
+        pair = threading.Barrier(2, timeout=5.0)  # each call waits until a second one is in flight
+        active = peak = 0
+
+        def overlapping(request):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            try:
+                pair.wait()
+                return complete(request)
+            finally:
+                with lock:
+                    active -= 1
+
+        backend.complete = overlapping
+        pipe = Pipeline(backend, registry, PipelineConfig(parallelism=2))
+        states = pipe.run_batch([banking_task(str(i)) for i in range(8)])
+        assert [s.error for s in states] == [None] * 8
+        assert [c.agent for s in states for c in s.llm_calls] == ["decomposer"] * 8
+        assert peak == 2
 
     def test_batch_of_one_equals_run_question(self, registry, scripted_backend):
         pipe = Pipeline(scripted_backend(256), registry,

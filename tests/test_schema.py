@@ -6,6 +6,7 @@ import sqlite3
 import pytest
 
 from text2sql.schema import (
+    DEFAULT_SAMPLE_K,
     ColumnSchema,
     DatabaseSchema,
     ForeignKey,
@@ -154,12 +155,18 @@ class TestSampleColumnValues:
         schema = introspect(str(path))
         assert examples(schema, "notes", "body") == ()
 
-    def test_at_most_k_distinct_and_all_present(self, banking_db):
-        values = examples(introspect(str(banking_db), sample_k=3), "client", "birth_date")
-        assert len(values) == 3
+    def test_at_most_k_distinct_and_all_present(self, tmp_path):
+        rows = ", ".join(f"('day {i}')" for i in range(DEFAULT_SAMPLE_K + 3))
+        path = make_db(tmp_path, "days.sqlite", f"""
+            CREATE TABLE log (day TEXT);
+            INSERT INTO log VALUES {rows}, ('day 1');
+        """)
+        values = examples(introspect(str(path)), "log", "day")
+        assert len(values) == DEFAULT_SAMPLE_K
         assert len(set(values)) == len(values)
-        conn = sqlite3.connect(banking_db)
-        present = {repr(r[0]) for r in conn.execute("SELECT birth_date FROM client")}
+        assert values[0] == "'day 1'"  # the one value seen twice ranks first
+        conn = sqlite3.connect(path)
+        present = {repr(r[0]) for r in conn.execute("SELECT day FROM log")}
         conn.close()
         assert set(values) <= present
 

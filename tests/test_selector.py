@@ -54,10 +54,6 @@ class TestNeedsPruning:
         # a small window forces the selector on
         assert needs_pruning(text, 256) is True
 
-    def test_requires_positive_window(self):
-        with pytest.raises(ValueError):
-            needs_pruning("x", 0)
-
 
 class TestSelectorPrompt:
     def test_contains_instructions_and_one_shot(self, banking_schema):
