@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
@@ -59,6 +60,13 @@ def _require_positive(name: str, value: int) -> int:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _require_http_url(endpoint: str) -> str:
+    parts = urlsplit(endpoint)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint must be an http or https URL with a host, got {endpoint!r}")
+    return endpoint
 
 
 class ScriptedBackend:
@@ -131,7 +139,7 @@ class HttpBackend:
                  session=None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
-        self.endpoint = endpoint
+        self.endpoint = _require_http_url(endpoint)
         self.model = model
         self.api_key_env = api_key_env
         self.context_window = _require_positive("context_window", context_window)

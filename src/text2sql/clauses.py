@@ -1,4 +1,7 @@
-"""Clause-set canonicalization of SQL queries for the exact-match metric.
+"""The SQL tokenizer, and clause-set canonicalization for the exact-match metric.
+
+One tokenizer serves both metrics: EM parses its tokens, and EX reads it to
+find a top-level ORDER BY (``has_top_level_order_by``).
 
 A query is parsed into a ClauseSet whose clauses are normalized term sets:
 keywords and unquoted identifiers are case-folded, table aliases are resolved
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 VALUE = "<value>"
 
@@ -42,17 +45,25 @@ class ClauseSet:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | number | string | op | end
     text: str
     quoted: bool = False
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_BODY = _IDENT_START | set("0123456789$")
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "==", "||")
-_ONE_CHAR_OPS = set("=<>+-*/%(),.;")
+# One named group per token kind, tried in order: a closed comment, string or
+# quoted identifier before the bare opener of an unclosed one, and a number
+# before the "." operator.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+  | (?P<string>'[^']*(?:''[^']*)*')
+  | (?P<quoted>"[^"]*"|`[^`]*`|\[[^\]]*\])
+  | (?P<unclosed>/\*|['"`\[])
+  | (?P<number>0[xX][0-9a-fA-F]*|(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<op><=|>=|<>|!=|==|\|\||[=<>+\-*/%(),.;])
+  | (?P<stray>.)
+""", re.VERBOSE | re.DOTALL)
 
 _SIMPLE_IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*$")
 
@@ -67,78 +78,53 @@ _RESERVED = {
 
 
 def _tokenize(sql: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        c = sql[i]
-        if c.isspace():
-            i += 1
-        elif sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-        elif sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise UnsupportedSyntax("unterminated comment")
-            i = end + 2
-        elif c == "'":
-            parts = []
-            i += 1
-            while True:
-                if i >= n:
-                    raise UnsupportedSyntax("unterminated string literal")
-                if sql[i] == "'":
-                    if i + 1 < n and sql[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(sql[i])
-                i += 1
-            tokens.append(_Token("string", "".join(parts)))
-        elif c in "`\"[":
-            close = {"[": "]"}.get(c, c)
-            j = sql.find(close, i + 1)
-            if j < 0:
-                raise UnsupportedSyntax(f"unterminated quoted identifier near {sql[i:i+20]!r}")
-            tokens.append(_Token("ident", sql[i + 1:j], quoted=True))
-            i = j + 1
-        elif c.isdigit() or (c == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            if sql.startswith("0x", i) or sql.startswith("0X", i):
-                j = i + 2
-                while j < n and sql[j] in "0123456789abcdefABCDEF":
-                    j += 1
-            else:
-                while j < n and (sql[j].isdigit() or sql[j] == "."):
-                    j += 1
-                if j < n and sql[j] in "eE":
-                    k = j + 1
-                    if k < n and sql[k] in "+-":
-                        k += 1
-                    if k < n and sql[k].isdigit():
-                        j = k
-                        while j < n and sql[j].isdigit():
-                            j += 1
-            tokens.append(_Token("number", sql[i:j]))
-            i = j
-        elif c in _IDENT_START:
-            j = i
-            while j < n and sql[j] in _IDENT_BODY:
-                j += 1
-            tokens.append(_Token("ident", sql[i:j]))
-            i = j
-        elif sql[i:i + 2] in _TWO_CHAR_OPS:
-            tokens.append(_Token("op", sql[i:i + 2]))
-            i += 2
-        elif c in _ONE_CHAR_OPS:
-            tokens.append(_Token("op", c))
-            i += 1
+    tokens = []
+    for m in _TOKEN_RE.finditer(sql):
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            continue
+        if kind == "string":
+            tokens.append(_Token("string", text[1:-1].replace("''", "'")))
+        elif kind == "quoted":
+            tokens.append(_Token("ident", text[1:-1], True))
+        elif kind == "unclosed":
+            raise UnsupportedSyntax(f"unclosed {text!r} near {sql[m.start():m.start() + 20]!r}")
+        elif kind == "stray":
+            raise UnsupportedSyntax(f"unexpected character {text!r}")
         else:
-            raise UnsupportedSyntax(f"unexpected character {c!r}")
+            tokens.append(_Token(kind, text))
     tokens.append(_Token("end", ""))
     return tokens
+
+
+def has_top_level_order_by(sql: str) -> bool:
+    """True when ORDER BY appears outside every parenthesis, quote and comment.
+
+    This is the rule for ordered EX comparison. It never raises: an unclosed
+    quote or comment runs to the end of the text, as SQLite reads an
+    unterminated ``/*``.
+    """
+    depth, after_order = 0, False
+    for m in _TOKEN_RE.finditer(sql):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "unclosed":
+            return False
+        text = m.group()
+        if kind == "ident":
+            if depth == 0:
+                word = text.upper()
+                if after_order and word == "BY":
+                    return True
+                after_order = word == "ORDER"
+            continue
+        if text == "(":
+            depth += 1
+        elif text == ")":
+            depth -= 1
+        after_order = False
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +154,14 @@ class _Parser:
         self.toks = tokens
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        return self.toks[self.i]
 
     def advance(self) -> _Token:
         tok = self.toks[self.i]
-        if tok.kind != "end":
-            self.i += 1
+        if tok.kind == "end":
+            raise UnsupportedSyntax("unexpected end of query")
+        self.i += 1
         return tok
 
     def at_kw(self, *words: str) -> bool:
@@ -611,14 +598,14 @@ def _canon_select(core: _RawSelect, parent: Optional[_Scope]):
             out_aliases[alias.text.lower()] = text
 
     join_conditions = frozenset(
-        term for cond in core.join_conds for term in _conjuncts(cond, scope))
+        _canon_expr(term, scope)[0] for cond in core.join_conds for term in _chain(cond, "and"))
     where_predicates = frozenset(
-        _conjuncts(core.where, scope)) if core.where is not None else frozenset()
+        _canon_expr(term, scope)[0] for term in _chain(core.where, "and"))
     group_by = frozenset(
         _resolve_output_term(e, scope, out_aliases, ordered_items) for e in core.group)
     having = frozenset(
-        _resolve_output_term_conjuncts(core.having, scope, out_aliases, ordered_items)
-    ) if core.having is not None else frozenset()
+        _resolve_output_term(term, scope, out_aliases, ordered_items)
+        for term in _chain(core.having, "and"))
 
     cs = ClauseSet(
         select_items=frozenset(ordered_items),
@@ -632,16 +619,20 @@ def _canon_select(core: _RawSelect, parent: Optional[_Scope]):
     return cs, scope, out_aliases, ordered_items
 
 
-def _conjuncts(expr, scope) -> list[str]:
-    flat = []
-    def walk(node):
-        if isinstance(node, tuple) and node[0] == "bin" and node[1] == "and":
-            walk(node[2])
-            walk(node[3])
+def _chain(node, op: str) -> list:
+    """The operands of a nested chain of one binary operator, left to right.
+
+    Walked with a stack, so a long AND chain needs no recursion. None gives
+    no operands.
+    """
+    operands, stack = [], [] if node is None else [node]
+    while stack:
+        node = stack.pop()
+        if node[0] == "bin" and node[1] == op:
+            stack += (node[3], node[2])
         else:
-            flat.append(_canon_expr(node, scope)[0])
-    walk(expr)
-    return flat
+            operands.append(node)
+    return operands
 
 
 def _resolve_output_term(expr, scope, out_aliases, ordered_items) -> str:
@@ -658,18 +649,6 @@ def _resolve_output_term(expr, scope, out_aliases, ordered_items) -> str:
         if 1 <= pos <= len(ordered_items):
             return ordered_items[pos - 1]
     return _canon_expr(expr, scope)[0]
-
-
-def _resolve_output_term_conjuncts(expr, scope, out_aliases, ordered_items) -> list[str]:
-    flat = []
-    def walk(node):
-        if isinstance(node, tuple) and node[0] == "bin" and node[1] == "and":
-            walk(node[2])
-            walk(node[3])
-        else:
-            flat.append(_resolve_output_term(node, scope, out_aliases, ordered_items))
-    walk(expr)
-    return flat
 
 
 def _wrap(text: str, prec: int, minimum: int) -> str:
@@ -719,15 +698,8 @@ def _canon_expr(node, scope: _Scope) -> tuple[str, int]:
         _, op, left, right = node
         prec = _BIN_PREC[op]
         if op in ("and", "or"):
-            parts = []
-            def walk(x):
-                if isinstance(x, tuple) and x[0] == "bin" and x[1] == op:
-                    walk(x[2]); walk(x[3])
-                else:
-                    text, p = _canon_expr(x, scope)
-                    parts.append(_wrap(text, p, prec + 1))
-            walk(node)
-            return f" {op} ".join(sorted(parts)), prec
+            parts = sorted(_wrap(*_canon_expr(x, scope), prec + 1) for x in _chain(node, op))
+            return f" {op} ".join(parts), prec
         if op in _SWAP_CMP:
             op = _SWAP_CMP[op]
             left, right = right, left

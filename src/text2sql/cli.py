@@ -55,16 +55,17 @@ def _coerce(key: str, value):
     """``value`` read as the type of the key's default, or a usage error.
 
     A bool is not a number, a number with a fractional part is not an int,
-    and a bool is spelled as one of ``_BOOL_WORDS``.
+    a string key takes a string or null, and a bool is spelled as one of
+    ``_BOOL_WORDS``.
     """
     kind = type(_DEFAULTS[key])
-    if kind is str or type(value) is kind:
+    if type(value) is kind or (kind is str and value is None):
         return value
     if kind is bool:
         word = str(value).strip().lower()
         if word in _BOOL_WORDS:
             return _BOOL_WORDS[word]
-    elif not isinstance(value, bool) and not (
+    elif kind in (int, float) and not isinstance(value, bool) and not (
             kind is int and isinstance(value, float) and not value.is_integer()):
         try:
             return kind(value)

@@ -10,14 +10,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .clauses import UnsupportedSyntax, parse_to_clause_set
+from .clauses import UnsupportedSyntax, has_top_level_order_by, parse_to_clause_set
 from .execution import (
     DEFAULT_TIMEOUT,
     ExecStatus,
     ExecutionOutcome,
     OutcomeSummary,
     execute_sql,
-    has_top_level_order_by,
     rows_equal,
 )
 
@@ -145,17 +144,21 @@ def score_ex(pred_sql: str, gold_sql: str, db_path: str,
 
 
 def exact_match(pred_sql: str, gold_sql: str) -> Optional[bool]:
-    """Clause-set equality; None when either side falls outside the EM grammar."""
+    """Clause-set equality; None when either side falls outside the EM grammar.
+
+    A query nested too deeply to canonicalize within the recursion limit is
+    outside the grammar too, although SQLite may still run it.
+    """
     try:
         pred = parse_to_clause_set(pred_sql)
         gold = parse_to_clause_set(gold_sql)
-    except UnsupportedSyntax:
+    except (UnsupportedSyntax, RecursionError):
         return None
     return pred == gold
 
 
 def classify_error(pred_outcome: ExecutionOutcome, gold_outcome: ExecutionOutcome,
-                   ex: bool, em: Optional[bool] = None) -> ErrorClass:
+                   ex: bool) -> ErrorClass:
     """Machine-checkable failure taxonomy for one scored item."""
     if ex:
         return ErrorClass.NONE
@@ -178,7 +181,7 @@ def score_item(task_id: str, pred_sql: str, gold_sql: str, db_path: str,
     pred_out, gold_out = _run_both(pred_sql, gold_sql, db_path, timeout)
     ex = _results_match(pred_out, gold_out, gold_sql, dedupe=dedupe)
     em = exact_match(pred_sql, gold_sql) if pred_sql.strip() else False
-    error_class = classify_error(pred_out, gold_out, ex, em)
+    error_class = classify_error(pred_out, gold_out, ex)
     ratio = None
     if ex:
         ratio = (ves_ratio(pred_sql, gold_sql, db_path, run_timer=run_timer)

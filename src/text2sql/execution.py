@@ -290,52 +290,3 @@ def rows_equal(a: Iterable[Sequence], b: Iterable[Sequence],
     nb = normalize_rows(b, order_sensitive, dedupe)
     return len(na) == len(nb) and all(
         len(x) == len(y) and all(map(_same_value, x, y)) for x, y in zip(na, nb))
-
-
-def has_top_level_order_by(sql: str) -> bool:
-    """True when the query's outermost level contains ORDER BY (result order matters)."""
-    i, depth, n = 0, 0, len(sql)
-    last_word_order = False
-    while i < n:
-        c = sql[i]
-        if c in "'\"`[":
-            close = {"[": "]"}.get(c, c)
-            i += 1
-            while i < n:
-                if sql[i] == close:
-                    if c == "'" and i + 1 < n and sql[i + 1] == "'":
-                        i += 2
-                        continue
-                    break
-                i += 1
-            i += 1
-            last_word_order = False
-        elif c == "-" and sql[i:i + 2] == "--":
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-        elif c == "/" and sql[i:i + 2] == "/*":
-            end = sql.find("*/", i + 2)
-            i = n if end < 0 else end + 2
-        elif c == "(":
-            depth += 1
-            i += 1
-            last_word_order = False
-        elif c == ")":
-            depth -= 1
-            i += 1
-            last_word_order = False
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j].upper()
-            if depth == 0:
-                if last_word_order and word == "BY":
-                    return True
-                last_word_order = word == "ORDER"
-            i = j
-        else:
-            if not c.isspace():
-                last_word_order = False
-            i += 1
-    return False

@@ -235,6 +235,12 @@ class TestLimits:
                 HttpBackend("http://llm.test", session=_FakeSession([]),
                             context_window=window)
 
+    @pytest.mark.parametrize("endpoint", [
+        "llm.example.com/v1/chat", "ftp://llm.test/v1", "http:///v1/chat", "https://"])
+    def test_requires_http_url_with_host(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint"):
+            HttpBackend(endpoint, session=_FakeSession([]))
+
     def test_requires_positive_token_budget(self):
         with pytest.raises(ValueError, match="max_output_tokens"):
             HttpBackend("http://llm.test", session=_FakeSession([]), max_output_tokens=0)

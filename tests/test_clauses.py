@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from text2sql.clauses import (
     VALUE,
     ClauseSet,
     UnsupportedSyntax,
+    has_top_level_order_by,
     parse_to_clause_set,
     render_clause_set,
     render_sql,
@@ -306,6 +309,32 @@ class TestFuzz:
             parse_to_clause_set("SELECT " + text)
         except UnsupportedSyntax:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_order_by_check_never_raises(self, text):
+        assert has_top_level_order_by(text) in (True, False)
+
+
+class TestTermination:
+    @pytest.fixture
+    def deadline(self):
+        """Fail a test that runs past two seconds instead of letting it hang."""
+        def expire(*_):
+            raise TimeoutError("no result within two seconds")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT CAST(x AS DECIMAL(10",
+        "SELECT CAST(x AS DECIMAL(10, 2",
+    ])
+    def test_truncated_query_is_rejected(self, deadline, sql):
+        with pytest.raises(UnsupportedSyntax):
+            parse_to_clause_set(sql)
 
 
 @st.composite

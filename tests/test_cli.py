@@ -151,6 +151,9 @@ class TestSettings:
         ({"script_strict": "maybe"}, {}, "script_strict"),
         ({"context_window": 0}, {}, "context_window"),
         ({"prune_fraction": 0.5}, {}, "prune_fraction"),
+        ({"model": 5}, {}, "model"),
+        ({"script_path": False}, {}, "script_path"),
+        ({"backend": "http", "endpoint": "llm.example.com/v1/chat"}, {}, "endpoint"),
     ])
     def test_bad_value_exits_two(self, runner, banking_bird_root, bird_items_file,
                                  script_config, tmp_path, overrides, env, key):

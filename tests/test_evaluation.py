@@ -190,6 +190,17 @@ class TestScoreItem:
         assert hit.ves_ratio == 1.0
         assert miss.ves_ratio is None
 
+    def test_long_and_chain_scores(self, db_paths):
+        # SQLite runs 990 ANDed terms, so EM must flatten them without recursing per term.
+        sql = "SELECT name FROM products WHERE " + " AND ".join(["price > 0"] * 990)
+        score = score_item("and", sql, sql, db_paths["shop"], with_ves=False)
+        assert score.ex and score.em is True
+
+    def test_too_deep_for_em_is_outside_the_grammar(self, db_paths):
+        sql = "SELECT name FROM products WHERE price > " + " + ".join(["0"] * 3000)
+        score = score_item("deep", sql, sql, db_paths["shop"], with_ves=False)
+        assert score.em is None
+
     def test_invariants_enforced(self):
         summary = OutcomeSummary(status=ExecStatus.OK, row_count=1)
         with pytest.raises(ValueError):

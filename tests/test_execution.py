@@ -10,11 +10,11 @@ import time
 
 import pytest
 
+from text2sql.clauses import has_top_level_order_by
 from text2sql.execution import (
     ExecStatus,
     ExecutionOutcome,
     execute_sql,
-    has_top_level_order_by,
     normalize_rows,
     rows_equal,
 )
@@ -335,6 +335,12 @@ class TestTopLevelOrderBy:
         ("SELECT a FROM t WHERE note = 'order by x'", False),
         ("SELECT a FROM t -- order by a\n", False),
         ("SELECT a FROM t UNION SELECT b FROM u ORDER BY 1", True),
+        ("SELECT a FROM t ORDER/**/BY a", True),
+        ("SELECT a FROM t ORDER -- c\nBY a", True),
+        ("SELECT a FROM t /* ORDER BY a", False),
+        ('SELECT a FROM t "ORDER" BY a', False),
+        ("SELECT rank() OVER (ORDER BY a) FROM t", False),
+        ("SELECT [order by] FROM t", False),
     ])
     def test_detection(self, sql, expected):
         assert has_top_level_order_by(sql) is expected
