@@ -17,6 +17,7 @@ functions, CAST, and CASE. Anything else raises UnsupportedSyntax.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -53,19 +54,34 @@ class _Token(NamedTuple):
 
 # One named group per token kind, tried in order: a closed comment, string or
 # quoted identifier before the bare opener of an unclosed one, and a number
-# before the "." operator.
+# before the "." operator. The character classes are SQLite's: whitespace and
+# digits are ASCII only, and every character from U+0080 up is an identifier
+# character, so "año" is one name and a no-break space is not a separator.
 _TOKEN_RE = re.compile(r"""
-    (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    (?P<skip>[ \t\n\f\r]+|--[^\n]*|/\*.*?\*/)
   | (?P<string>'[^']*(?:''[^']*)*')
   | (?P<quoted>"[^"]*"|`[^`]*`|\[[^\]]*\])
   | (?P<unclosed>/\*|['"`\[])
-  | (?P<number>0[xX][0-9a-fA-F]*|(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<number>0[xX][0-9a-fA-F]*|(?:[0-9]|\.[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_\x80-\U0010FFFF][A-Za-z0-9_$\x80-\U0010FFFF]*)
   | (?P<op><=|>=|<>|!=|==|\|\||[=<>+\-*/%(),.;])
   | (?P<stray>.)
 """, re.VERBOSE | re.DOTALL)
 
 _SIMPLE_IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*$")
+
+# SQLite folds case in ASCII only, for keywords and names alike: "ſelect" is a
+# name, not SELECT, and "AÑO" and "año" are two different columns.
+_TO_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
+_TO_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def _upper(text: str) -> str:
+    return text.upper() if text.isascii() else text.translate(_TO_UPPER)
+
+
+def _lower(text: str) -> str:
+    return text.lower() if text.isascii() else text.translate(_TO_LOWER)
 
 _RESERVED = {
     "SELECT", "DISTINCT", "ALL", "FROM", "WHERE", "GROUP", "BY", "HAVING",
@@ -114,7 +130,7 @@ def has_top_level_order_by(sql: str) -> bool:
         text = m.group()
         if kind == "ident":
             if depth == 0:
-                word = text.upper()
+                word = _upper(text)
                 if after_order and word == "BY":
                     return True
                 after_order = word == "ORDER"
@@ -166,11 +182,11 @@ class _Parser:
 
     def at_kw(self, *words: str) -> bool:
         tok = self.peek()
-        return tok.kind == "ident" and not tok.quoted and tok.text.upper() in words
+        return tok.kind == "ident" and not tok.quoted and _upper(tok.text) in words
 
     def take_kw(self, *words: str) -> Optional[str]:
         if self.at_kw(*words):
-            return self.advance().text.upper()
+            return _upper(self.advance().text)
         return None
 
     def expect_kw(self, word: str) -> None:
@@ -198,7 +214,7 @@ class _Parser:
         selects = [self.parse_select_core()]
         ops = []
         while self.at_kw("UNION", "INTERSECT", "EXCEPT"):
-            op = self.advance().text.lower()
+            op = _lower(self.advance().text)
             if op == "union" and self.take_kw("ALL"):
                 op = "union all"
             ops.append(op)
@@ -285,7 +301,7 @@ class _Parser:
                 raise UnsupportedSyntax(f"expected alias, found {tok.text!r}")
             return tok
         tok = self.peek()
-        if tok.kind == "ident" and (tok.quoted or tok.text.upper() not in _RESERVED):
+        if tok.kind == "ident" and (tok.quoted or _upper(tok.text) not in _RESERVED):
             return self.advance()
         return None
 
@@ -413,7 +429,7 @@ class _Parser:
             self.advance()
             return ("str", tok.text)
         if tok.kind == "ident":
-            upper = tok.text.upper() if not tok.quoted else ""
+            upper = _upper(tok.text) if not tok.quoted else ""
             if upper == "NULL":
                 self.advance()
                 return ("null",)
@@ -439,7 +455,7 @@ class _Parser:
 
     def parse_call(self, name_tok: _Token):
         self.expect_op("(")
-        name = name_tok.text.lower()
+        name = _lower(name_tok.text)
         distinct = False
         args = []
         if self.take_op("*"):
@@ -479,7 +495,7 @@ class _Parser:
         self.expect_kw("AS")
         words = []
         while self.peek().kind == "ident":
-            words.append(self.advance().text.lower())
+            words.append(_lower(self.advance().text))
         if self.take_op("("):
             inner = []
             while not self.at_op(")"):
@@ -509,8 +525,8 @@ _BIN_PREC = {
 
 def _canon_ident(tok: _Token) -> str:
     if not tok.quoted:
-        return tok.text.lower()
-    if _SIMPLE_IDENT_RE.match(tok.text) and tok.text.upper() not in _RESERVED:
+        return _lower(tok.text)
+    if _SIMPLE_IDENT_RE.match(tok.text) and _upper(tok.text) not in _RESERVED:
         return tok.text
     return f"`{tok.text}`"
 
@@ -585,9 +601,9 @@ def _canon_select(core: _RawSelect, parent: Optional[_Scope]):
             is_table = False
         scope.sources.append((canonical, is_table))
         if alias is not None:
-            scope.alias_map[alias.text.lower()] = canonical
+            scope.alias_map[_lower(alias.text)] = canonical
         elif is_table:
-            scope.alias_map[payload.text.lower()] = canonical
+            scope.alias_map[_lower(payload.text)] = canonical
 
     ordered_items: list[str] = []
     out_aliases: dict[str, str] = {}
@@ -595,7 +611,7 @@ def _canon_select(core: _RawSelect, parent: Optional[_Scope]):
         text = _canon_expr(expr, scope)[0]
         ordered_items.append(text)
         if alias is not None:
-            out_aliases[alias.text.lower()] = text
+            out_aliases[_lower(alias.text)] = text
 
     join_conditions = frozenset(
         _canon_expr(term, scope)[0] for cond in core.join_conds for term in _chain(cond, "and"))
@@ -638,7 +654,7 @@ def _chain(node, op: str) -> list:
 def _resolve_output_term(expr, scope, out_aliases, ordered_items) -> str:
     """ORDER BY / GROUP BY term: resolve output aliases and 1-based positions."""
     if isinstance(expr, tuple) and expr[0] == "col" and expr[1] is None:
-        name = expr[2].text.lower()
+        name = _lower(expr[2].text)
         if name in out_aliases:
             return out_aliases[name]
     if isinstance(expr, tuple) and expr[0] == "num":
@@ -665,7 +681,7 @@ def _canon_expr(node, scope: _Scope) -> tuple[str, int]:
         qualifier, name_tok = node[1], node[2]
         name = _canon_ident(name_tok)
         if qualifier is not None:
-            resolved = scope.resolve(qualifier.text.lower())
+            resolved = scope.resolve(_lower(qualifier.text))
             if resolved is None:
                 resolved = _canon_ident(qualifier)
             if resolved.startswith("("):
@@ -679,7 +695,7 @@ def _canon_expr(node, scope: _Scope) -> tuple[str, int]:
         qualifier = node[1]
         if qualifier is None:
             return "*", _ATOM
-        resolved = scope.resolve(qualifier.text.lower())
+        resolved = scope.resolve(_lower(qualifier.text))
         if resolved is None:
             resolved = _canon_ident(qualifier)
         if resolved.startswith("("):

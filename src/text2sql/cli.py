@@ -19,6 +19,7 @@ from .backend import (
     HttpBackend,
     ScriptedBackend,
 )
+from .codec import encode
 from .datasets import DatabaseRegistry, Task, load_benchmark, load_column_descriptions
 from .evaluation import build_report, exec_match, score_item
 from .execution import execute_sql
@@ -183,7 +184,7 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
     state = pipe.run_question(task)
 
     if trace_path:
-        Path(trace_path).write_text(json.dumps(state, default=vars, indent=2,
+        Path(trace_path).write_text(json.dumps(state, default=encode, indent=2,
                                                sort_keys=True), encoding="utf-8")
     if state.error:
         click.echo(f"error: {state.error}", err=True)
@@ -344,7 +345,7 @@ def cmd_export_sft(journal_path, benchmark_name, items_path, db_root, out_path,
 
     with open(out_path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, default=vars, sort_keys=True) + "\n")
+            handle.write(json.dumps(record, default=encode, sort_keys=True) + "\n")
 
     counts: dict[str, int] = {}
     for record in records:

@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import json
 import logging
+import os
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .schema import DatabaseSchema, introspect
+from .codec import decoder, encode
+from .execution import db_stamp
+from .schema import DEFAULT_SAMPLE_K, MAX_LITERAL_LEN, DatabaseSchema, introspect
 
 logger = logging.getLogger(__name__)
 
 BIRD = "bird"
 SPIDER = "spider"
 DESCRIPTION_DIR = "database_description"
+# Bumped whenever introspection or the schema types change what a file holds.
+SCHEMA_CACHE_FORMAT = 1
 
 
 class MissingDatabase(Exception):
@@ -41,18 +49,86 @@ class Task:
             raise ValueError("task question must be nonempty")
 
 
-class DatabaseRegistry:
-    """db_id -> database file plus a cache of introspected schemas.
+@dataclass(frozen=True)
+class _CacheHeader:
+    """What a cached schema was introspected from; a hit needs all of it unchanged."""
 
-    Schemas are introspected once and shared; they are immutable, so any number
-    of workers may read them while each worker opens its own connections.
+    format: int
+    db_stamp: tuple[int, int, int]
+    descriptions_sha256: str
+    sample_k: int
+    max_literal_len: int
+
+
+@dataclass(frozen=True)
+class _CachedSchema:
+    header: _CacheHeader
+    schema: DatabaseSchema
+
+
+def _cache_file(db_path: str) -> Path:
+    """``$XDG_CACHE_HOME/text2sql/schemas/<sha256 of the resolved path>.json``."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
+    digest = hashlib.sha256(os.fsencode(Path(db_path).resolve())).hexdigest()
+    return root / "text2sql" / "schemas" / f"{digest}.json"
+
+
+def _cache_header(db_path: str,
+                  descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> _CacheHeader:
+    text = json.dumps(descriptions or {}, sort_keys=True)
+    return _CacheHeader(SCHEMA_CACHE_FORMAT, db_stamp(db_path),
+                        hashlib.sha256(text.encode()).hexdigest(),
+                        DEFAULT_SAMPLE_K, MAX_LITERAL_LEN)
+
+
+def _read_cache(cache_file: Path, header: _CacheHeader, db_path: str) -> Optional[DatabaseSchema]:
+    """The cached schema when its header equals ``header``; None on any miss."""
+    try:
+        cached = decoder(_CachedSchema)(json.loads(cache_file.read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError):
+        return None
+    if cached.header != header:
+        return None
+    schema = cached.schema
+    if (schema.db_id, schema.db_path) != (Path(db_path).stem, str(db_path)):
+        # the same file reached through another path spelling or link name
+        schema = dataclasses.replace(schema, db_id=Path(db_path).stem, db_path=str(db_path))
+    return schema
+
+
+def _write_cache(cache_file: Path, cached: _CachedSchema) -> None:
+    """Replace the file atomically, so a reader sees the old file or the new one."""
+    cache_file.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_file.parent, prefix=cache_file.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(cached, default=encode, separators=(",", ":")))
+        os.replace(tmp, cache_file)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+class DatabaseRegistry:
+    """db_id -> database file plus the schemas loaded so far.
+
+    Each schema is loaded once per registry, under a lock of its own database,
+    so different databases load at the same time. A load reads the on-disk
+    schema cache and introspects only on a miss. Schemas are immutable, so
+    any number of workers may read them while each opens its own connections.
     """
 
     def __init__(self):
         self._paths: dict[str, str] = {}
         self._descriptions: dict[str, Mapping[str, Mapping[str, str]]] = {}
         self._schemas: dict[str, DatabaseSchema] = {}
-        self._lock = threading.Lock()
+        self._once: dict[str, threading.Lock] = {}
+        self._lock = threading.Lock()  # guards _once and _cache_write_failed
+        self._cache_write_failed = False
 
     def register(self, db_id: str, path: str,
                  descriptions: Optional[Mapping[str, Mapping[str, str]]] = None) -> None:
@@ -69,11 +145,37 @@ class DatabaseRegistry:
         return self._paths[db_id]
 
     def get_schema(self, db_id: str) -> DatabaseSchema:
-        with self._lock:
-            if db_id not in self._schemas:
-                self._schemas[db_id] = introspect(
-                    self.path(db_id), self._descriptions.get(db_id))
-            return self._schemas[db_id]
+        schema = self._schemas.get(db_id)
+        if schema is None:
+            db_path = self.path(db_id)
+            with self._lock:
+                once = self._once.setdefault(db_id, threading.Lock())
+            with once:
+                schema = self._schemas.get(db_id)
+                if schema is None:
+                    schema = self._schemas[db_id] = self._load(
+                        db_path, self._descriptions.get(db_id))
+        return schema
+
+    def _load(self, db_path: str,
+              descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> DatabaseSchema:
+        header = _cache_header(db_path, descriptions)  # stamped before introspection
+        try:
+            cache_file = _cache_file(db_path)
+        except (OSError, RuntimeError):  # no home directory, or a symlink loop
+            return introspect(db_path, descriptions)
+        schema = _read_cache(cache_file, header, db_path)
+        if schema is None:
+            schema = introspect(db_path, descriptions)
+            try:
+                _write_cache(cache_file, _CachedSchema(header, schema))
+            except (OSError, ValueError, TypeError) as exc:
+                with self._lock:
+                    first, self._cache_write_failed = not self._cache_write_failed, True
+                if first:
+                    logger.warning("schema cache not written, so the next run "
+                                   "introspects again: %s", exc)
+        return schema
 
 
 @dataclass

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from .execution import (
     ExecStatus,
     ExecutionOutcome,
     OutcomeSummary,
+    db_stamp,
     execute_sql,
     rows_equal,
 )
@@ -115,22 +115,12 @@ def ves_ratio(pred_sql: str, gold_sql: str, db_path: str,
 class ExVerdict:
     """EX of a state's final SQL against its own gold, and the database it ran on.
 
-    ``db_stamp`` is ``(st_ino, st_size, st_mtime_ns)`` of the database file,
-    taken before the queries ran; the verdict holds while the file still
-    has it.
+    ``db_stamp`` is ``execution.db_stamp`` of the database file, taken
+    before the queries ran; the verdict holds while the file still has it.
     """
 
     ex: bool
     db_stamp: tuple[int, int, int]
-
-
-def db_stamp(db_path: str) -> Optional[tuple[int, int, int]]:
-    """The identity of a database file a verdict is tied to; None when it is gone."""
-    try:
-        info = os.stat(db_path)
-    except OSError:
-        return None
-    return (info.st_ino, info.st_size, info.st_mtime_ns)
 
 
 def score_ex(pred_sql: str, gold_sql: str, db_path: str,

@@ -71,6 +71,19 @@ class OutcomeSummary:
                    outcome.exception_class, outcome.elapsed)
 
 
+def db_stamp(db_path: str) -> Optional[tuple[int, int, int]]:
+    """The identity of a database file: ``(st_ino, st_size, st_mtime_ns)``; None when it is gone.
+
+    A journaled EX verdict and a cached schema each hold while the file keeps
+    the stamp they were made with.
+    """
+    try:
+        info = os.stat(db_path)
+    except OSError:
+        return None
+    return (info.st_ino, info.st_size, info.st_mtime_ns)
+
+
 def connect_readonly(db_path: str) -> sqlite3.Connection:
     """Open a database file read-only; the path is percent-quoted into the URI."""
     return sqlite3.connect(_readonly_uri(os.getcwd(), db_path), uri=True)

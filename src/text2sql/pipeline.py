@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import json
 import logging
 import threading
 import time
-import types
-import typing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .backend import BackendUnavailable, ChatResponse, ScriptMiss
+from .codec import decoder, encode
 from .datasets import DatabaseRegistry, Task
 from .decomposer import (
     DecompositionStep,
@@ -24,8 +20,8 @@ from .decomposer import (
     build_decomposer_prompt,
     parse_decomposition,
 )
-from .evaluation import ExVerdict, db_stamp, exec_match, score_ex
-from .execution import DEFAULT_TIMEOUT
+from .evaluation import ExVerdict, exec_match, score_ex
+from .execution import DEFAULT_TIMEOUT, db_stamp
 from .refiner import MAX_ROUNDS, RefineAttempt, refine_loop
 from .schema import render_foreign_keys, render_schema_description, render_table_blocks
 from .selector import (
@@ -105,57 +101,6 @@ def recorded_ex(state: PipelineState, db_path: str) -> Optional[bool]:
     if verdict is None or not state.task.gold_sql or verdict.db_stamp != db_stamp(db_path):
         return None
     return verdict.ex
-
-
-def _expect(value, kind) -> None:
-    if not isinstance(value, kind):
-        raise TypeError(f"expected {kind}, got {value!r}")
-
-
-@functools.cache
-def decoder(tp) -> Callable:
-    """The function that rebuilds a ``tp`` from what ``json.dumps(default=vars)`` wrote.
-
-    It raises TypeError or ValueError when a value does not fit the type;
-    missing dataclass fields take their defaults, unknown keys are ignored.
-    """
-    if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        parts = [(f.name, decoder(hints[f.name])) for f in dataclasses.fields(tp)]
-
-        def record(value):
-            _expect(value, dict)
-            return tp(**{k: dec(value[k]) for k, dec in parts if k in value})
-        return record
-    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        options = [decoder(arg) for arg in args]
-
-        def union(value):
-            for dec in options:
-                try:
-                    return dec(value)
-                except (TypeError, ValueError):
-                    pass
-            raise TypeError(f"{value!r} fits none of {tp}")
-        return union
-    if isinstance(origin, type) and issubclass(origin, Enum):
-        return origin
-    if origin in (list, tuple, dict):
-        item = decoder((args[-1] if origin is dict else args[0]) if args else object)
-
-        def container(value):
-            _expect(value, dict if origin is dict else list)
-            if origin is dict:
-                return {k: item(v) for k, v in value.items()}
-            return origin(map(item, value))
-        return container
-    kind = (int, float) if origin is float else origin
-
-    def scalar(value):
-        _expect(value, kind)
-        return value
-    return scalar
 
 
 class Pipeline:
@@ -319,7 +264,7 @@ class Journal:
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(state, default=vars, sort_keys=True) + "\n")
+                handle.write(json.dumps(state, default=encode, sort_keys=True) + "\n")
                 handle.flush()
 
 

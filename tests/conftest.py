@@ -21,6 +21,22 @@ from text2sql.schema import introspect  # noqa: E402
 DATA_DIR = Path(__file__).parent / "data"
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_home(tmp_path_factory):
+    """The schema cache of fixtures wider than one test is not the user's either."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("session_cache_home")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def schema_cache_home(tmp_path_factory, monkeypatch) -> Path:
+    """Each test gets an empty schema cache of its own, never the user's."""
+    home = tmp_path_factory.mktemp("cache_home")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture(scope="session")
 def banking_db(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("banking") / "banking_system.sqlite"

@@ -13,6 +13,7 @@ from text2sql.clauses import (
     render_clause_set,
     render_sql,
 )
+from text2sql.evaluation import exact_match
 
 
 def roundtrips(sql: str) -> bool:
@@ -314,6 +315,47 @@ class TestFuzz:
     @given(st.text())
     def test_order_by_check_never_raises(self, text):
         assert has_top_level_order_by(text) in (True, False)
+
+
+class TestSqliteCharacterClasses:
+    """Characters are read as SQLite's tokenizer reads them."""
+
+    def test_non_ascii_name(self):
+        assert exact_match("SELECT año FROM t", "SELECT año FROM t") is True
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028"])
+    def test_only_ascii_whitespace_separates(self, space):
+        # SQLite reads "SELECT\u00a0a" as one name, so the query is not a SELECT
+        sql = f"SELECT{space}a FROM t"
+        assert exact_match(sql, sql) is not True
+        # after "=", the space starts a name: b is compared with a column
+        assert exact_match(f"SELECT a FROM t WHERE b ={space}1",
+                           "SELECT a FROM t WHERE b = 2") is False
+
+    def test_only_ascii_digits_make_a_number(self):
+        # to SQLite, ٣ is a column, not the value 3
+        assert exact_match("SELECT a FROM t WHERE b = \u0663",
+                           "SELECT a FROM t WHERE b = 3") is False
+
+    def test_case_folds_in_ascii_only(self):
+        assert exact_match("SELECT AñO FROM t", "SELECT año FROM t") is True
+        assert exact_match("SELECT AÑO FROM t", "SELECT año FROM t") is False
+        # the long s upper-cases to S, but SQLite reads "ſelect" as a name
+        assert exact_match("\u017felect a FROM t", "SELECT a FROM t") is None
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT a FROM t\u00a0ORDER BY a", False),
+        ("SELECT a FROM t \u2028ORDER BY a", False),
+        ("SELECT a FROM t \u00e9ORDER BY a", False),
+        ("SELECT a FROM t ORDER BY\u00e9 a", False),
+        ("SELECT a FROM t ORDER\tBY\x0ca", True),
+    ])
+    def test_order_by_words(self, sql, expected):
+        assert has_top_level_order_by(sql) is expected
+
+    def test_non_ascii_names_round_trip(self):
+        assert roundtrips("SELECT T1.año, count(*) FROM tabla AS T1 WHERE T1.ciudad = 'Köln' "
+                          "GROUP BY T1.año ORDER BY T1.año")
 
 
 class TestTermination:

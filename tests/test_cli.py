@@ -10,9 +10,10 @@ from click.testing import CliRunner
 
 from metric_fixture import METRIC_ITEMS
 
-from text2sql import evaluation, refiner
+from text2sql import datasets, evaluation, refiner
 from text2sql.backend import DEFAULT_MAX_OUTPUT_TOKENS
 from text2sql.cli import build_backend, main, resolve_settings
+from text2sql.codec import encode
 from text2sql.pipeline import Journal
 
 GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
@@ -235,6 +236,25 @@ class TestBench:
         assert after.startswith(before)
         assert len(Journal(str(journal)).load()) == 3
 
+    def test_second_run_reads_the_schema_cache(self, runner, banking_bird_root,
+                                               bird_items_file, script_config, tmp_path,
+                                               monkeypatch):
+        introspected = []
+        real = datasets.introspect
+        monkeypatch.setattr(datasets, "introspect",
+                            lambda *a, **k: introspected.append(a[0]) or real(*a, **k))
+        outputs = []
+        for run in ("first", "second"):
+            result = runner.invoke(main, [
+                "bench", "--benchmark", "bird", "--items", bird_items_file,
+                "--db-root", str(banking_bird_root), "--journal",
+                str(tmp_path / f"{run}.jsonl"), "--config", script_config, "--json",
+            ])
+            assert result.exit_code == 0, result.output
+            outputs.append(json.loads(result.stdout.splitlines()[-1])["ex_pct"])
+            assert len(introspected) == 1
+        assert outputs[0] == outputs[1]
+
 
 class TestEval:
     def write_benchmark(self, tmp_path, shop_db, library_db):
@@ -354,7 +374,7 @@ class TestExportSft:
         states = list(Journal(str(journal)).load().values())
         states[0].task.task_id = "999"
         states[0].task.gold_sql = None
-        journal.write_text(json.dumps(states[0], default=vars) + "\n", encoding="utf-8")
+        journal.write_text(json.dumps(states[0], default=encode) + "\n", encoding="utf-8")
         result = runner.invoke(main, [
             "export-sft", "--journal", str(journal), "--benchmark", "bird",
             "--items", str(items_path), "--db-root", str(banking_bird_root),

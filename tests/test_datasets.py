@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from text2sql.codec import decoder, encode
 from text2sql.datasets import (
     MalformedItem,
     MissingDatabase,
@@ -12,7 +13,6 @@ from text2sql.datasets import (
     load_column_descriptions,
 )
 from text2sql.execution import ExecStatus, execute_sql
-from text2sql.pipeline import decoder
 
 
 def write_items(path, items):
@@ -124,4 +124,4 @@ class TestTask:
     def test_round_trip(self):
         task = Task(task_id="7", db_id="shop", question="q", evidence="e",
                     gold_sql="SELECT 1", difficulty="simple")
-        assert decoder(Task)(json.loads(json.dumps(task, default=vars))) == task
+        assert decoder(Task)(json.loads(json.dumps(task, default=encode))) == task

@@ -11,6 +11,7 @@ import pytest
 from dbfixtures import BANKING_DESCRIPTIONS
 
 from text2sql.backend import ScriptedBackend
+from text2sql.codec import decoder, encode
 from text2sql.datasets import DatabaseRegistry, Task
 from text2sql.execution import DEFAULT_TIMEOUT, ExecStatus
 from text2sql.pipeline import (
@@ -19,7 +20,6 @@ from text2sql.pipeline import (
     Pipeline,
     PipelineConfig,
     PipelineState,
-    decoder,
     export_instruction_data,
     recorded_ex,
 )
@@ -42,7 +42,7 @@ EVIDENCE = "Later birthdate refers to younger age; A11 refers to average salary"
 
 def line(state: PipelineState) -> str:
     """A state as the journal writes it."""
-    return json.dumps(state, default=vars, sort_keys=True)
+    return json.dumps(state, default=encode, sort_keys=True)
 
 
 def fake_clock():
