@@ -14,7 +14,6 @@ from .execution import (
     DEFAULT_TIMEOUT,
     ExecStatus,
     ExecutionOutcome,
-    OutcomeSummary,
     db_stamp,
     execute_sql,
     rows_equal,
@@ -42,8 +41,8 @@ class ItemScore:
     em: Optional[bool]
     ves_ratio: Optional[float]
     error_class: ErrorClass
-    pred_outcome: OutcomeSummary
-    gold_outcome: OutcomeSummary
+    pred_status: ExecStatus
+    gold_status: ExecStatus
     difficulty: str = "unlabeled"
 
     def __post_init__(self):
@@ -182,8 +181,8 @@ def score_item(task_id: str, pred_sql: str, gold_sql: str, db_path: str,
         em=em,
         ves_ratio=ratio,
         error_class=error_class,
-        pred_outcome=OutcomeSummary.from_outcome(pred_out),
-        gold_outcome=OutcomeSummary.from_outcome(gold_out),
+        pred_status=pred_out.status,
+        gold_status=gold_out.status,
         difficulty=difficulty,
     )
 
@@ -217,8 +216,8 @@ class EvalReport:
                     "error_class": s.error_class.value,
                     "difficulty": s.difficulty,
                     "review_semantic_correct": s.error_class is ErrorClass.WRONG_RESULT,
-                    "pred_status": s.pred_outcome.status.value,
-                    "gold_status": s.gold_outcome.status.value,
+                    "pred_status": s.pred_status.value,
+                    "gold_status": s.gold_status.value,
                 }
                 for s in self.items
             ],

@@ -84,21 +84,19 @@ def db_stamp(db_path: str) -> Optional[tuple[int, int, int]]:
     return (info.st_ino, info.st_size, info.st_mtime_ns)
 
 
-def connect_readonly(db_path: str) -> sqlite3.Connection:
-    """Open a database file read-only; the path is percent-quoted into the URI."""
-    return sqlite3.connect(_readonly_uri(os.getcwd(), db_path), uri=True)
-
-
 @functools.lru_cache(maxsize=1024)
 def _readonly_uri(cwd: str, db_path: str) -> str:
-    # resolved once per (cwd, path): resolving costs a system call per component
+    # percent-quoted, and resolved once per (cwd, path): resolving costs a
+    # system call per component
     return (Path(cwd) / db_path).resolve().as_uri() + "?mode=ro"
 
 
-# Authorizer actions a query may take; anything else (a write, BEGIN, ATTACH,
+# Authorizer actions a query may take, and the two pragmas that read what
+# sqlite_master already shows; anything else (a write, BEGIN, ATTACH, another
 # PRAGMA, VACUUM, CREATE TEMP ...) is refused before the statement runs.
 _READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                            sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+_READ_PRAGMAS = frozenset({"table_info", "foreign_key_list"})
 _DENIED_MESSAGE = "not authorized: only read-only SELECT statements may run"
 # The deadline is checked every this many virtual-machine steps.
 _PROGRESS_STEPS = 1000
@@ -133,8 +131,9 @@ class _Slot(threading.local):
 _slot = _Slot()
 
 
-def _authorize(action, *_) -> int:
-    if action in _READ_ACTIONS:
+def _authorize(action, name, *_) -> int:
+    if action in _READ_ACTIONS or (action == sqlite3.SQLITE_PRAGMA and name.isascii()
+                                   and name.lower() in _READ_PRAGMAS):
         return sqlite3.SQLITE_OK
     _slot.denied = True
     return sqlite3.SQLITE_DENY
@@ -208,8 +207,8 @@ def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT,
     cursor = conn.cursor()
     try:
         cursor.execute(sql)
-        rows = tuple(tuple(r) for r in cursor.fetchall())
-    except (sqlite3.Error, sqlite3.Warning, ValueError, OverflowError) as exc:
+        rows = tuple(cursor.fetchall())  # no row_factory: each row is a tuple
+    except (sqlite3.Error, sqlite3.Warning, ValueError, OverflowError, MemoryError) as exc:
         status = _classify_error(exc)
         return ExecutionOutcome(
             status=status,

@@ -5,12 +5,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .execution import connect_readonly
+from .execution import execute_sql
 
 logger = logging.getLogger(__name__)
 
@@ -19,7 +18,7 @@ DEFAULT_SAMPLE_K = 5
 
 
 class UnreadableDatabase(Exception):
-    """Database file is missing, corrupt, or not a SQLite database."""
+    """Database file is missing, corrupt, not a SQLite database, or too slow to read."""
 
 
 class UnknownColumn(Exception):
@@ -164,7 +163,7 @@ def _looks_like_email(s: str) -> bool:
     return at > 0 and "." in s[at + 1 :]
 
 
-def _sample_values(conn: sqlite3.Connection, table: str, column: str,
+def _sample_values(db_path: str, table: str, column: str,
                    declared_type: str) -> list[str]:
     """The ``DEFAULT_SAMPLE_K`` most frequent distinct non-null values, as literals.
 
@@ -174,12 +173,10 @@ def _sample_values(conn: sqlite3.Connection, table: str, column: str,
     """
     if _is_numeric_affine(declared_type):
         return []
-    cur = conn.execute(
-        f'SELECT "{_q(column)}", COUNT(*) AS n FROM "{_q(table)}" '
-        f'WHERE "{_q(column)}" IS NOT NULL '
-        f'GROUP BY "{_q(column)}" ORDER BY n DESC LIMIT 256'
-    )
-    groups = cur.fetchall()
+    groups = _rows(db_path,
+                   f'SELECT "{_q(column)}", COUNT(*) AS n FROM "{_q(table)}" '
+                   f'WHERE "{_q(column)}" IS NOT NULL '
+                   f'GROUP BY "{_q(column)}" ORDER BY n DESC LIMIT 256')
     if not groups:
         return []
     raw_strings = [v for v, _ in groups if isinstance(v, str)]
@@ -204,16 +201,13 @@ def _q(identifier: str) -> str:
     return identifier.replace('"', '""')
 
 
-def _open_readonly(db_path: str) -> sqlite3.Connection:
-    path = Path(db_path)
-    if not path.exists():
-        raise UnreadableDatabase(f"database file not found: {db_path}")
-    try:
-        conn = connect_readonly(db_path)
-        conn.execute("SELECT 1 FROM sqlite_master LIMIT 1")
-    except sqlite3.Error as exc:
-        raise UnreadableDatabase(f"cannot open {db_path}: {exc}") from exc
-    return conn
+def _rows(db_path: str, sql: str) -> tuple:
+    """The rows of one introspection query, run by ``execute_sql`` under its deadline."""
+    outcome = execute_sql(db_path, sql)
+    if outcome.rows is None:
+        raise UnreadableDatabase(f"cannot read {db_path}: {outcome.status.value}: "
+                                 f"{outcome.error_message}")
+    return outcome.rows
 
 
 def introspect(db_path: str,
@@ -222,58 +216,52 @@ def introspect(db_path: str,
 
     ``descriptions`` maps table -> column -> free-text description; entries are
     matched case-insensitively and unmatched entries are dropped with a warning.
+    Each query runs through ``execute_sql``, so each has its ``DEFAULT_TIMEOUT``;
+    a missing, corrupt or too slow file raises ``UnreadableDatabase``.
     """
-    conn = _open_readonly(db_path)
     desc_lookup = _fold_descriptions(descriptions or {})
     matched: set[tuple[str, str]] = set()
-    try:
-        table_rows = conn.execute(
-            "SELECT name FROM sqlite_master "
-            "WHERE type='table' AND name NOT LIKE 'sqlite_%'"
-        ).fetchall()
-        tables = []
-        for (tname,) in table_rows:
-            cols = []
-            for _cid, cname, ctype, _notnull, _dflt, pk in conn.execute(
-                f'PRAGMA table_info("{_q(tname)}")'
-            ):
-                key = (tname.lower(), cname.lower())
-                desc = desc_lookup.get(key, "")
-                if key in desc_lookup:
-                    matched.add(key)
-                cols.append(ColumnSchema(
-                    name=cname,
-                    declared_type=ctype or "",
-                    description=desc,
-                    value_examples=tuple(_sample_values(conn, tname, cname, ctype or "")),
-                    is_primary_key=pk > 0,
-                ))
-            tables.append(TableSchema(name=tname, columns=tuple(cols)))
+    tables = []
+    for (tname,) in _rows(db_path, "SELECT name FROM sqlite_master "
+                                   "WHERE type='table' AND name NOT LIKE 'sqlite_%'"):
+        cols = []
+        for _cid, cname, ctype, _notnull, _dflt, pk in _rows(
+                db_path, f'PRAGMA table_info("{_q(tname)}")'):
+            key = (tname.lower(), cname.lower())
+            desc = desc_lookup.get(key, "")
+            if key in desc_lookup:
+                matched.add(key)
+            cols.append(ColumnSchema(
+                name=cname,
+                declared_type=ctype or "",
+                description=desc,
+                value_examples=tuple(_sample_values(db_path, tname, cname, ctype or "")),
+                is_primary_key=pk > 0,
+            ))
+        tables.append(TableSchema(name=tname, columns=tuple(cols)))
 
-        by_name = {t.name.lower(): t for t in tables}
-        fks = []
-        for t in tables:
-            for row in conn.execute(f'PRAGMA foreign_key_list("{_q(t.name)}")'):
-                _id, _seq, ref_table, from_col, to_col = row[0], row[1], row[2], row[3], row[4]
-                ref = by_name.get((ref_table or "").lower())
-                if ref is None or not t.has_column(from_col):
-                    logger.warning("dropping unresolvable foreign key %s.%s -> %s.%s",
-                                   t.name, from_col, ref_table, to_col)
+    by_name = {t.name.lower(): t for t in tables}
+    fks = []
+    for t in tables:
+        for row in _rows(db_path, f'PRAGMA foreign_key_list("{_q(t.name)}")'):
+            ref_table, from_col, to_col = row[2:5]
+            ref = by_name.get((ref_table or "").lower())
+            if ref is None or not t.has_column(from_col):
+                logger.warning("dropping unresolvable foreign key %s.%s -> %s.%s",
+                               t.name, from_col, ref_table, to_col)
+                continue
+            if to_col is None:
+                pk_names = ref.primary_key_names()
+                if not pk_names:
+                    logger.warning("dropping foreign key with no target column: %s.%s -> %s",
+                                   t.name, from_col, ref_table)
                     continue
-                if to_col is None:
-                    pk_names = ref.primary_key_names()
-                    if not pk_names:
-                        logger.warning("dropping foreign key with no target column: %s.%s -> %s",
-                                       t.name, from_col, ref_table)
-                        continue
-                    to_col = pk_names[0]
-                if not ref.has_column(to_col):
-                    logger.warning("dropping foreign key to missing column %s.%s", ref_table, to_col)
-                    continue
-                fks.append(ForeignKey(t.name, t.column(from_col).name,
-                                      ref.name, ref.column(to_col).name))
-    finally:
-        conn.close()
+                to_col = pk_names[0]
+            if not ref.has_column(to_col):
+                logger.warning("dropping foreign key to missing column %s.%s", ref_table, to_col)
+                continue
+            fks.append(ForeignKey(t.name, t.column(from_col).name,
+                                  ref.name, ref.column(to_col).name))
 
     for key in set(desc_lookup) - matched:
         logger.warning("column description for %s.%s matches no column; dropped", key[0], key[1])

@@ -76,3 +76,43 @@ def school_db(tmp_path_factory) -> Path:
 @pytest.fixture()
 def scripted_banking_path() -> Path:
     return DATA_DIR / "scripted_banking.txt"
+
+
+EXHAUST = "/* exhaust */"
+
+
+@pytest.fixture()
+def fetch_exhausts(monkeypatch) -> str:
+    """Fetching the rows of SQL that contains the returned marker raises MemoryError.
+
+    ``execution._connection`` is patched to hand out a stub connection around
+    the real one, so every other statement runs as before.
+    """
+    from text2sql import execution
+
+    class Cursor:
+        def __init__(self, cursor):
+            self.cursor, self.sql = cursor, ""
+
+        def execute(self, sql):
+            self.sql = sql
+            return self.cursor.execute(sql)
+
+        def fetchall(self):
+            if EXHAUST in self.sql:
+                raise MemoryError
+            return self.cursor.fetchall()
+
+        def close(self):
+            self.cursor.close()
+
+    class Connection:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def cursor(self):
+            return Cursor(self.conn.cursor())
+
+    real = execution._connection
+    monkeypatch.setattr(execution, "_connection", lambda db_path: Connection(real(db_path)))
+    return EXHAUST

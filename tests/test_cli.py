@@ -307,6 +307,23 @@ class TestEval:
         assert report["n"] == 20
         assert report["ex_pct"] == 50.0  # hand tally: 10 of 20
 
+    def test_memory_error_in_a_prediction_still_writes_a_report(
+            self, runner, tmp_path, shop_db, library_db, fetch_exhausts):
+        root, items_path, _ = self.write_benchmark(tmp_path, shop_db, library_db)
+        predictions = {str(i): gold for i, (_db, gold, _p) in enumerate(METRIC_ITEMS)}
+        predictions["0"] += " " + fetch_exhausts
+        pred_path = tmp_path / "exhausting.json"
+        pred_path.write_text(json.dumps(predictions), encoding="utf-8")
+        result = runner.invoke(main, [
+            "eval", "--predictions", str(pred_path), "--benchmark", "bird",
+            "--items", str(items_path), "--db-root", str(root),
+            "--out", str(tmp_path / "report"), "--no-ves",
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        [item] = [it for it in report["items"] if it["task_id"] == "0"]
+        assert (item["pred_status"], item["error_class"]) == ("OTHER_ERROR", "EXECUTION_ERROR")
+
     def test_empty_predictions_exit_two(self, runner, tmp_path, shop_db, library_db):
         root, items_path, _ = self.write_benchmark(tmp_path, shop_db, library_db)
         empty = tmp_path / "empty.json"

@@ -16,7 +16,7 @@ from text2sql.evaluation import (
     score_item,
     ves_ratio,
 )
-from text2sql.execution import ExecStatus, ExecutionOutcome, OutcomeSummary
+from text2sql.execution import ExecStatus, ExecutionOutcome
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +190,15 @@ class TestScoreItem:
         assert hit.ves_ratio == 1.0
         assert miss.ves_ratio is None
 
+    def test_memory_error_scores_as_an_execution_error(self, db_paths, fetch_exhausts):
+        gold = "SELECT name FROM products"
+        pred = score_item("p", gold + fetch_exhausts, gold, db_paths["shop"], with_ves=False)
+        assert pred.error_class is ErrorClass.EXECUTION_ERROR
+        assert pred.pred_status is ExecStatus.OTHER_ERROR
+        bad_gold = score_item("g", gold, gold + fetch_exhausts, db_paths["shop"],
+                              with_ves=False)
+        assert bad_gold.error_class is ErrorClass.GOLD_ERROR
+
     def test_long_and_chain_scores(self, db_paths):
         # SQLite runs 990 ANDed terms, so EM must flatten them without recursing per term.
         sql = "SELECT name FROM products WHERE " + " AND ".join(["price > 0"] * 990)
@@ -202,15 +211,13 @@ class TestScoreItem:
         assert score.em is None
 
     def test_invariants_enforced(self):
-        summary = OutcomeSummary(status=ExecStatus.OK, row_count=1)
+        ok = ExecStatus.OK
         with pytest.raises(ValueError):
             ItemScore("t", ex=True, em=None, ves_ratio=None,
-                      error_class=ErrorClass.NONE,
-                      pred_outcome=summary, gold_outcome=summary)
+                      error_class=ErrorClass.NONE, pred_status=ok, gold_status=ok)
         with pytest.raises(ValueError):
             ItemScore("t", ex=False, em=None, ves_ratio=None,
-                      error_class=ErrorClass.NONE,
-                      pred_outcome=summary, gold_outcome=summary)
+                      error_class=ErrorClass.NONE, pred_status=ok, gold_status=ok)
 
 
 class TestBuildReport:

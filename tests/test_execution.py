@@ -112,6 +112,13 @@ class TestExecuteSql:
         outcome = execute_sql(str(tmp_path / "missing.sqlite"), "SELECT 1")
         assert outcome.status is ExecStatus.OTHER_ERROR
 
+    def test_memory_error_is_other_error(self, banking_db, fetch_exhausts):
+        outcome = execute_sql(str(banking_db), "SELECT * FROM client " + fetch_exhausts)
+        assert outcome.status is ExecStatus.OTHER_ERROR
+        assert outcome.exception_class == "MemoryError"
+        assert outcome.rows is None
+        assert execute_sql(str(banking_db), "SELECT 1").rows == ((1,),)
+
 
 class TestReadOnlyPath:
     @pytest.mark.parametrize("dirname", ["a?b", "a#b"])
@@ -169,6 +176,8 @@ class TestGuardedConnection:
         "BEGIN",
         "CREATE TEMP TABLE t(x)",
         "PRAGMA reverse_unordered_selects=1",
+        "PRAGMA writable_schema=1",
+        "PRAGMA query_only=0",
     ])
     def test_state_changing_statements_leave_no_state(self, tmp_path, probe):
         db = _make_db(tmp_path / "db.sqlite", [1, 2, 3])
@@ -182,6 +191,32 @@ class TestGuardedConnection:
         writer.commit()
         writer.close()
         assert execute_sql(db, "SELECT x FROM t").rows == ((1,), (2,), (3,), (4,))
+
+    @pytest.mark.parametrize("probe", [
+        'PRAGMA table_info("t")',
+        "PRAGMA TABLE_INFO(t)",
+        'PRAGMA foreign_key_list("u")',
+        # these two pragmas read no more than the table definitions show
+        "SELECT sql FROM sqlite_master",
+    ])
+    def test_schema_reading_pragmas_allowed(self, tmp_path, probe):
+        db = _make_db(tmp_path / "db.sqlite", [1])
+        writer = sqlite3.connect(db)
+        writer.execute("CREATE TABLE u (y REFERENCES t(x))")
+        writer.close()
+        assert execute_sql(db, probe).status is ExecStatus.OK
+
+    @pytest.mark.parametrize("probe", [
+        'PRAGMA table_xinfo("t")',
+        "SELECT * FROM pragma_table_xinfo('t')",
+        'PRAGMA index_list("t")',
+        "PRAGMA database_list",
+        # not ASCII: a Kelvin sign folds to "k" in Python but names no pragma
+        'PRAGMA foreign_\u212aey_list("t")',
+    ])
+    def test_other_reading_pragmas_denied(self, tmp_path, probe):
+        db = _make_db(tmp_path / "db.sqlite", [1])
+        assert execute_sql(db, probe).status is ExecStatus.DENIED
 
     def test_select_after_timeout_is_ok(self, tmp_path):
         db = _make_db(tmp_path / "db.sqlite", [1])

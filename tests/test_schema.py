@@ -5,6 +5,7 @@ import sqlite3
 
 import pytest
 
+from text2sql.execution import execute_sql
 from text2sql.schema import (
     DEFAULT_SAMPLE_K,
     ColumnSchema,
@@ -70,6 +71,15 @@ class TestIntrospect:
         path = tmp_path / "corrupt.sqlite"
         path.write_bytes(b"definitely not a database" * 100)
         with pytest.raises(UnreadableDatabase):
+            introspect(str(path))
+
+    def test_query_past_its_deadline_is_unreadable(self, tmp_path, monkeypatch):
+        path = make_db(tmp_path, "slow.sqlite", "CREATE TABLE t (name TEXT);"
+                       "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+                       "WHERE x < 5000) INSERT INTO t SELECT 'n' || x FROM c;")
+        monkeypatch.setattr("text2sql.schema.execute_sql",
+                            lambda db_path, sql: execute_sql(db_path, sql, timeout=-1.0))
+        with pytest.raises(UnreadableDatabase, match="TIMEOUT"):
             introspect(str(path))
 
     def test_counts_match_catalog_oracle(self, school_db):

@@ -25,6 +25,10 @@ from text2sql.execution import db_stamp
 from text2sql.schema import introspect, render_schema_description
 
 DB_ID = "banking_system"
+# The banking fixture's cache file, with its descriptions, as written when
+# introspection still opened a connection of its own. Its stamp and path,
+# the only fields that depend on the machine, are zeroed.
+GOLDEN_CACHE = Path(__file__).parent / "data" / "golden" / "banking_schema_cache.json"
 
 
 @pytest.fixture()
@@ -82,6 +86,17 @@ class TestHit:
         hit = load(db.name)
         assert len(introspected) == 1
         assert hit == introspect(db.name, BANKING_DESCRIPTIONS)
+
+    def test_file_of_the_earlier_introspection_hits(self, db, introspected):
+        cached = json.loads(GOLDEN_CACHE.read_text(encoding="utf-8"))
+        cached["header"]["db_stamp"] = list(db_stamp(str(db)))
+        cache_file = datasets._cache_file(str(db))
+        cache_file.parent.mkdir(parents=True)
+        cache_file.write_text(json.dumps(cached), encoding="utf-8")
+        hit = load(db)
+        assert introspected == []
+        fresh = introspect(str(db), BANKING_DESCRIPTIONS)
+        assert json.dumps(hit, default=encode) == json.dumps(fresh, default=encode)
 
     def test_relative_cache_home_falls_back_to_dot_cache(self, db, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
