@@ -20,7 +20,14 @@ from .backend import (
     ScriptedBackend,
 )
 from .codec import encode
-from .datasets import DatabaseRegistry, Task, load_benchmark, load_column_descriptions
+from .datasets import (
+    DatabaseRegistry,
+    MalformedItem,
+    MissingDatabase,
+    Task,
+    load_benchmark,
+    load_column_descriptions,
+)
 from .evaluation import build_report, exec_match, score_item
 from .execution import execute_sql
 from .pipeline import (
@@ -132,6 +139,14 @@ def pipeline_config(settings: dict) -> PipelineConfig:
         raise click.UsageError(f"bad setting: {exc}") from None
 
 
+def _benchmark(name: str, items_path: str, db_root: str):
+    """``load_benchmark``, with a bad items file as a usage error."""
+    try:
+        return load_benchmark(name, items_path, db_root)
+    except (MalformedItem, MissingDatabase) as exc:
+        raise click.UsageError(f"bad items file {items_path}: {exc}") from None
+
+
 def _backend_options(fn):
     options = [
         click.option("--config", "config_path", type=click.Path(exists=True),
@@ -225,7 +240,7 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
         "script_path": script_path, "shots": shots, "max_rounds": max_rounds,
         "parallelism": parallelism,
     })
-    bench = load_benchmark(benchmark_name, items_path, db_root)
+    bench = _benchmark(benchmark_name, items_path, db_root)
     tasks = bench.tasks[:limit] if limit else bench.tasks
     llm = build_backend(settings)
     pipe = Pipeline(llm, bench.registry(), pipeline_config(settings))
@@ -296,7 +311,7 @@ def cmd_eval(predictions_path, benchmark_name, items_path, db_root, out_prefix,
     """Score a predictions file (task_id -> SQL, or a trace journal) against gold."""
     settings = resolve_settings(config_path, {"timeout": timeout})
     predictions = _load_predictions(predictions_path)
-    bench = load_benchmark(benchmark_name, items_path, db_root)
+    bench = _benchmark(benchmark_name, items_path, db_root)
 
     scores = []
     for task in bench.tasks:
@@ -333,7 +348,7 @@ def cmd_export_sft(journal_path, benchmark_name, items_path, db_root, out_path,
                    timeout, config_path, json_output):
     """Filter a trace journal to instruction records for supervised fine-tuning."""
     settings = resolve_settings(config_path, {"timeout": timeout})
-    bench = load_benchmark(benchmark_name, items_path, db_root)
+    bench = _benchmark(benchmark_name, items_path, db_root)
     gold_lookup = {t.task_id: t.gold_sql for t in bench.tasks if t.gold_sql}
     states = list(Journal(journal_path).load().values())
     try:

@@ -32,7 +32,7 @@ class MissingDatabase(Exception):
 
 
 class MalformedItem(Exception):
-    """A benchmark item is missing a required field."""
+    """The items file is not a JSON array of objects, or an item lacks a required field."""
 
 
 @dataclass
@@ -90,11 +90,9 @@ def _read_cache(cache_file: Path, header: _CacheHeader, db_path: str) -> Optiona
         return None
     if cached.header != header:
         return None
-    schema = cached.schema
-    if (schema.db_id, schema.db_path) != (Path(db_path).stem, str(db_path)):
-        # the same file reached through another path spelling or link name
-        schema = dataclasses.replace(schema, db_id=Path(db_path).stem, db_path=str(db_path))
-    return schema
+    if cached.schema.db_id != Path(db_path).stem:  # the same file under another link name
+        return dataclasses.replace(cached.schema, db_id=Path(db_path).stem)
+    return cached.schema
 
 
 def _write_cache(cache_file: Path, cached: _CachedSchema) -> None:
@@ -180,9 +178,7 @@ class DatabaseRegistry:
 
 @dataclass
 class Benchmark:
-    name: str
     tasks: list[Task]
-    db_root: str
     _registry: DatabaseRegistry = field(default=None, repr=False)
 
     def registry(self) -> DatabaseRegistry:
@@ -237,7 +233,10 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
         raise FileNotFoundError(db_root)
 
     with open(items_file, encoding="utf-8", errors="replace") as handle:
-        items = json.load(handle)
+        try:
+            items = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise MalformedItem(f"items file is not JSON: {exc}") from None
     if not isinstance(items, list):
         raise MalformedItem("items file must contain a JSON array")
 
@@ -245,9 +244,11 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
     tasks: list[Task] = []
     registry = DatabaseRegistry()
     for idx, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise MalformedItem(f"item {idx} is not a JSON object")
         for required in ("db_id", "question"):
-            if not item.get(required):
-                raise MalformedItem(f"item {idx} is missing {required!r}")
+            if not item.get(required) or not isinstance(item[required], str):
+                raise MalformedItem(f"item {idx} needs a nonempty string {required!r}")
         db_id = item["db_id"]
         db_file = _database_file(root, db_id)
         if not db_file.exists():
@@ -263,4 +264,4 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
             gold_sql=item.get(sql_field),
             difficulty=item.get("difficulty", "unlabeled") if name == BIRD else "unlabeled",
         ))
-    return Benchmark(name=name, tasks=tasks, db_root=str(root), _registry=registry)
+    return Benchmark(tasks=tasks, _registry=registry)

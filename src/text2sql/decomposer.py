@@ -34,7 +34,6 @@ class DecompositionStep:
 @dataclass(frozen=True)
 class DecompositionResult:
     steps: tuple[DecompositionStep, ...]
-    raw_response: str
 
     @property
     def final_sql(self) -> str:
@@ -102,4 +101,4 @@ def parse_decomposition(response_text: str) -> DecompositionResult:
     if len(steps) > MAX_EXPECTED_STEPS:
         logger.warning("decomposition has %d steps; expected at most %d",
                        len(steps), MAX_EXPECTED_STEPS)
-    return DecompositionResult(steps=tuple(steps), raw_response=response_text)
+    return DecompositionResult(steps=tuple(steps))

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .clauses import UnsupportedSyntax, has_top_level_order_by, parse_to_clause_set
+from .codec import encode
 from .execution import (
     DEFAULT_TIMEOUT,
     ExecStatus,
@@ -199,29 +201,9 @@ class EvalReport:
     error_counts: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ex_pct": self.ex_pct,
-            "em_pct": self.em_pct,
-            "em_coverage_pct": self.em_coverage_pct,
-            "ves": self.ves,
-            "per_difficulty": self.per_difficulty,
-            "error_counts": self.error_counts,
-            "items": [
-                {
-                    "task_id": s.task_id,
-                    "ex": s.ex,
-                    "em": s.em,
-                    "ves_ratio": s.ves_ratio,
-                    "error_class": s.error_class.value,
-                    "difficulty": s.difficulty,
-                    "review_semantic_correct": s.error_class is ErrorClass.WRONG_RESULT,
-                    "pred_status": s.pred_status.value,
-                    "gold_status": s.gold_status.value,
-                }
-                for s in self.items
-            ],
-        }
+        return {**encode(self), "items": [
+            {**encode(s), "review_semantic_correct": s.error_class is ErrorClass.WRONG_RESULT}
+            for s in self.items]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -266,21 +248,8 @@ def _aggregate(scores: Sequence[ItemScore]) -> dict:
 def build_report(item_scores: Sequence[ItemScore]) -> EvalReport:
     """Aggregate metrics overall and per difficulty label, plus the error histogram."""
     scores = list(item_scores)
-    overall = _aggregate(scores)
-    per_difficulty = {}
-    for label in sorted({s.difficulty for s in scores}):
-        per_difficulty[label] = _aggregate([s for s in scores if s.difficulty == label])
-    error_counts: dict[str, int] = {}
-    for s in scores:
-        error_counts[s.error_class.value] = error_counts.get(s.error_class.value, 0) + 1
-
-    return EvalReport(
-        items=scores,
-        n=overall["n"],
-        ex_pct=overall["ex_pct"],
-        em_pct=overall["em_pct"],
-        em_coverage_pct=overall["em_coverage_pct"] if scores else None,
-        ves=overall["ves"],
-        per_difficulty=per_difficulty,
-        error_counts=error_counts,
-    )
+    per_difficulty = {label: _aggregate([s for s in scores if s.difficulty == label])
+                      for label in sorted({s.difficulty for s in scores})}
+    return EvalReport(items=scores, per_difficulty=per_difficulty,
+                      error_counts=Counter(s.error_class.value for s in scores),
+                      **_aggregate(scores))

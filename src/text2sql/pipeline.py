@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -261,10 +262,15 @@ class Journal:
         return states
 
     def append(self, state: PipelineState) -> None:
+        line = (json.dumps(state, default=encode, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(state, default=encode, sort_keys=True) + "\n")
+            with open(self.path, "a+b") as handle:
+                if handle.tell():  # a line torn by a crash mid-append is ended first
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        line = b"\n" + line
+                handle.write(line)
                 handle.flush()
 
 

@@ -28,7 +28,6 @@ class UnknownColumn(Exception):
 @dataclass(frozen=True)
 class ColumnSchema:
     name: str
-    declared_type: str = ""
     description: str = ""
     value_examples: tuple[str, ...] = ()
     is_primary_key: bool = False
@@ -84,7 +83,6 @@ class DatabaseSchema:
     db_id: str
     tables: tuple[TableSchema, ...]
     foreign_keys: tuple[ForeignKey, ...]
-    db_path: str = ""
 
     def __post_init__(self):
         names = [t.name for t in self.tables]
@@ -233,7 +231,6 @@ def introspect(db_path: str,
                 matched.add(key)
             cols.append(ColumnSchema(
                 name=cname,
-                declared_type=ctype or "",
                 description=desc,
                 value_examples=tuple(_sample_values(db_path, tname, cname, ctype or "")),
                 is_primary_key=pk > 0,
@@ -266,12 +263,8 @@ def introspect(db_path: str,
     for key in set(desc_lookup) - matched:
         logger.warning("column description for %s.%s matches no column; dropped", key[0], key[1])
 
-    return DatabaseSchema(
-        db_id=Path(db_path).stem,
-        tables=tuple(tables),
-        foreign_keys=tuple(fks),
-        db_path=str(db_path),
-    )
+    return DatabaseSchema(db_id=Path(db_path).stem, tables=tuple(tables),
+                          foreign_keys=tuple(fks))
 
 
 def _fold_descriptions(descriptions: Mapping[str, Mapping[str, str]]) -> dict[tuple[str, str], str]:

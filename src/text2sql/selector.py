@@ -72,8 +72,7 @@ def pruned_schema(db: DatabaseSchema, selection: dict[str, list[str]]) -> Databa
         fk for fk in db.foreign_keys
         if fk.from_column.lower() in keep.get(fk.from_table.lower(), ())
         and fk.to_column.lower() in keep.get(fk.to_table.lower(), ()))
-    return DatabaseSchema(db_id=db.db_id, tables=tuple(tables),
-                          foreign_keys=foreign_keys, db_path=db.db_path)
+    return DatabaseSchema(db_id=db.db_id, tables=tuple(tables), foreign_keys=foreign_keys)
 
 
 def needs_pruning(rendered_schema: str, backend_context_window: int) -> bool:

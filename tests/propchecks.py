@@ -32,8 +32,7 @@ def schemas(draw):
         n_cols = draw(st.integers(min_value=1, max_value=20))
         pk_index = draw(st.integers(min_value=-1, max_value=n_cols - 1))
         columns = tuple(
-            ColumnSchema(name=f"c{c}", declared_type="TEXT",
-                         is_primary_key=(c == pk_index))
+            ColumnSchema(name=f"c{c}", is_primary_key=(c == pk_index))
             for c in range(n_cols)
         )
         tables.append(TableSchema(name=f"t{t}", columns=columns))

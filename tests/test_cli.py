@@ -400,6 +400,47 @@ class TestExportSft:
         assert result.exit_code == 2
 
 
+class TestBadItemsFile:
+    """Each command turns an items file it cannot load into one usage line."""
+
+    def run_each_command(self, runner, root, script_config, tmp_path, items):
+        items_path = tmp_path / "dev.json"
+        items_path.write_text(items, encoding="utf-8")
+        common = ["--benchmark", "bird", "--items", str(items_path), "--db-root", str(root)]
+        for args in (
+                ["bench", *common, "--journal", str(tmp_path / "j.jsonl"),
+                 "--config", script_config],
+                ["eval", "--predictions", str(GOLDEN_LINE), *common,
+                 "--out", str(tmp_path / "report")],
+                ["export-sft", "--journal", str(GOLDEN_LINE), *common,
+                 "--out", str(tmp_path / "r.jsonl")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args[0], result.output)
+            assert "bad items file" in result.output
+            assert "Traceback" not in result.output
+
+    def test_item_that_is_not_an_object(self, runner, banking_bird_root, script_config,
+                                        tmp_path):
+        self.run_each_command(runner, banking_bird_root, script_config, tmp_path, "[1]")
+
+    def test_item_naming_a_missing_database(self, runner, banking_bird_root, script_config,
+                                            tmp_path):
+        items = [{"question_id": 0, "db_id": "no_such_db", "question": QUESTION,
+                  "SQL": "SELECT 1"}]
+        self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
+                              json.dumps(items))
+
+    def test_database_id_that_is_not_a_string(self, runner, banking_bird_root,
+                                              script_config, tmp_path):
+        items = [{"question_id": 0, "db_id": 5, "question": QUESTION, "SQL": "SELECT 1"}]
+        self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
+                              json.dumps(items))
+
+    def test_unparseable_file(self, runner, banking_bird_root, script_config, tmp_path):
+        self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
+                              '[{"db_id": "banking_system",')
+
+
 def _no_sql(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("SQL was executed")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from metric_fixture import EXPECTED_EX, METRIC_ITEMS, oracle_exec_match
@@ -262,3 +264,29 @@ class TestBuildReport:
         report = build_report(self.scores(db_paths, [(True, "simple")]))
         assert '"ex_pct": 100.0' in report.to_json()
         assert "EX: 100.00" in report.to_text()
+
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "golden" / "eval_report"
+
+
+class TestGoldenReport:
+    """The report of the 20 metric items plus an empty prediction, as ``eval`` writes it.
+
+    The timer makes each run cost its SQL's length, so VES is fixed and not 1.
+    """
+
+    def report(self, db_paths):
+        items = METRIC_ITEMS + [("shop", "SELECT name FROM products", "")]
+        return build_report([
+            score_item(str(idx), pred, gold, db_paths[db],
+                       difficulty=("simple", "moderate")[idx % 2],
+                       run_timer=lambda db, sql: len(sql) / 1000)
+            for idx, (db, gold, pred) in enumerate(items)])
+
+    def test_json_is_byte_identical(self, db_paths):
+        golden = GOLDEN_REPORT.with_suffix(".json").read_text(encoding="utf-8")
+        assert self.report(db_paths).to_json() == golden
+
+    def test_text_is_byte_identical(self, db_paths):
+        golden = GOLDEN_REPORT.with_suffix(".txt").read_text(encoding="utf-8")
+        assert self.report(db_paths).to_text() + "\n" == golden

@@ -264,6 +264,18 @@ class TestRunBatch:
         reloaded = Journal(journal_path).load()
         assert [reloaded[t.task_id].error for t in tasks] == [None, None, errors[2]]
 
+    def test_resume_after_a_torn_line_keeps_every_new_state(self, registry,
+                                                            scripted_backend, tmp_path):
+        journal_path = tmp_path / "journal.jsonl"
+        tasks = [banking_task(task_id=str(i)) for i in range(4)]
+        pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
+        pipe.run_batch(tasks[:2], journal_path=str(journal_path))
+        whole = journal_path.read_bytes()
+        journal_path.write_bytes(whole[:len(whole) - 40])  # a crash mid-append of task 1
+
+        pipe.run_batch(tasks, journal_path=str(journal_path))
+        assert sorted(Journal(str(journal_path)).load()) == ["0", "1", "2", "3"]
+
     def test_per_task_isolation(self, registry, scripted_backend):
         pipe = Pipeline(scripted_backend(32768, strict=False), registry,
                         PipelineConfig())
