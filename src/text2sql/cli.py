@@ -255,8 +255,8 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
         db_path = bench.registry().path(state.task.db_id)
         ex = recorded_ex(state, db_path)
         if ex is None:  # no verdict that still holds: score it here
-            ex = bool(state.final_sql) and exec_match(
-                state.final_sql, state.task.gold_sql, db_path, timeout=settings["timeout"])
+            ex = exec_match(state.final_sql, state.task.gold_sql, db_path,
+                            timeout=settings["timeout"])
         return ex
 
     with_gold = [s for s in states if s.task.gold_sql]

@@ -72,8 +72,10 @@ def decoder(tp) -> Callable:
             return origin(map(item, value))
         return container
     kind = (int, float) if origin is float else origin
+    refused = bool if origin in (int, float) else ()  # a bool is an int to isinstance
 
     def scalar(value):
-        _expect(value, kind)
+        if not isinstance(value, kind) or isinstance(value, refused):
+            raise TypeError(f"expected {kind}, got {value!r}")
         return value
     return scalar

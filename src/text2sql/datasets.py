@@ -32,7 +32,7 @@ class MissingDatabase(Exception):
 
 
 class MalformedItem(Exception):
-    """The items file is not a JSON array of objects, or an item lacks a required field."""
+    """The items file is not a JSON array of objects, or an item does not fit ``_Item``."""
 
 
 @dataclass
@@ -45,8 +45,8 @@ class Task:
     difficulty: str = "unlabeled"
 
     def __post_init__(self):
-        if not self.question:
-            raise ValueError("task question must be nonempty")
+        if not self.db_id or not self.question:
+            raise ValueError("task db_id and question must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,19 @@ class Benchmark:
         return self._registry
 
 
+@dataclass
+class _Item:
+    """One entry of an items file, in either layout: BIRD's ``SQL`` or Spider's ``query``."""
+
+    db_id: str
+    question: str
+    question_id: int | str | None = None
+    evidence: str = ""
+    difficulty: str = "unlabeled"
+    SQL: Optional[str] = None
+    query: Optional[str] = None
+
+
 def _database_file(db_root: Path, db_id: str) -> Path:
     return db_root / db_id / f"{db_id}.sqlite"
 
@@ -240,28 +253,29 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
     if not isinstance(items, list):
         raise MalformedItem("items file must contain a JSON array")
 
-    sql_field = "SQL" if name == BIRD else "query"
+    read_item = decoder(_Item)
     tasks: list[Task] = []
     registry = DatabaseRegistry()
-    for idx, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise MalformedItem(f"item {idx} is not a JSON object")
-        for required in ("db_id", "question"):
-            if not item.get(required) or not isinstance(item[required], str):
-                raise MalformedItem(f"item {idx} needs a nonempty string {required!r}")
-        db_id = item["db_id"]
-        db_file = _database_file(root, db_id)
-        if not db_file.exists():
-            raise MissingDatabase(f"item {idx}: no database file at {db_file}")
-        if db_id not in registry.db_ids():
-            registry.register(db_id, str(db_file),
-                              load_column_descriptions(root / db_id))
-        tasks.append(Task(
-            task_id=str(item.get("question_id", idx)),
-            db_id=db_id,
-            question=item["question"],
-            evidence=item.get("evidence", "") if name == BIRD else "",
-            gold_sql=item.get(sql_field),
-            difficulty=item.get("difficulty", "unlabeled") if name == BIRD else "unlabeled",
-        ))
+    registered: set[str] = set()
+    for idx, value in enumerate(items):
+        try:
+            item = read_item(value)
+            task = Task(
+                task_id=str(idx if item.question_id is None else item.question_id),
+                db_id=item.db_id,
+                question=item.question,
+                evidence=item.evidence if name == BIRD else "",
+                gold_sql=item.SQL if name == BIRD else item.query,
+                difficulty=item.difficulty if name == BIRD else "unlabeled",
+            )
+        except (TypeError, ValueError) as exc:
+            raise MalformedItem(f"item {idx}: {exc}") from None
+        if task.db_id not in registered:
+            db_file = _database_file(root, task.db_id)
+            if not db_file.exists():
+                raise MissingDatabase(f"item {idx}: no database file at {db_file}")
+            registry.register(task.db_id, str(db_file),
+                              load_column_descriptions(root / task.db_id))
+            registered.add(task.db_id)
+        tasks.append(task)
     return Benchmark(tasks=tasks, _registry=registry)

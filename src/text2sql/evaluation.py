@@ -3,25 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .clauses import UnsupportedSyntax, has_top_level_order_by, parse_to_clause_set
 from .codec import encode
-from .execution import (
-    DEFAULT_TIMEOUT,
-    ExecStatus,
-    ExecutionOutcome,
-    db_stamp,
-    execute_sql,
-    rows_equal,
-)
+from .execution import DEFAULT_TIMEOUT, ExecStatus, ExecutionOutcome, db_stamp, execute_sql
 
 VES_REPEATS = 5
+# Floats that are not whole numbers compare within this relative tolerance.
+FLOAT_REL_TOL = 1e-9
 
 # run_timer(db_path, sql) -> seconds for one execution
 RunTimer = Callable[[str, str], float]
@@ -65,26 +61,84 @@ def _run_both(pred_sql: str, gold_sql: str, db_path: str, timeout: float):
     return pred_out, gold_out
 
 
+def _normalize_value(value) -> tuple:
+    """(kind, sort key, value) of one cell; rows are sorted by kind and key alone.
+
+    Integers and integral floats key by their exact value. Other floats key
+    rounded to 11 significant digits, so values within ``FLOAT_REL_TOL`` of
+    each other sort together; equality is then decided by ``_same_value``.
+    """
+    if value is None:
+        return (0, 0, None)
+    if isinstance(value, (int, float)):
+        exact = isinstance(value, int) or value.is_integer()
+        return (1, value if exact else float(f"{value:.10e}"), value)
+    if isinstance(value, bytes):
+        return (3, value, value)
+    text = str(value).strip()
+    return (2, text, text)
+
+
+def _same_number(a, b) -> bool:
+    """Ints, and an int against an integral float, compare exactly; other floats within tolerance."""
+    if a == b:
+        return True
+    exact = (isinstance(a, int) and (isinstance(b, int) or b.is_integer())
+             or isinstance(b, int) and a.is_integer())
+    return not exact and math.isclose(a, b, rel_tol=FLOAT_REL_TOL)
+
+
+def _same_value(a: tuple, b: tuple) -> bool:
+    if a[0] != b[0]:
+        return False
+    return _same_number(a[2], b[2]) if a[0] == 1 else a[1] == b[1]
+
+
+def _normalize_rows(rows: list[tuple], order_sensitive: bool) -> list:
+    """Rows of normalized values in comparison order; unordered results sort by kind and key."""
+    normalized = [tuple(map(_normalize_value, row)) for row in rows]
+    if order_sensitive:
+        return normalized
+    return sorted(normalized, key=lambda row: tuple(v[:2] for v in row))
+
+
+def rows_equal(a: Iterable[Sequence], b: Iterable[Sequence],
+               order_sensitive: bool = False) -> bool:
+    """True when two result sets hold the same rows: a multiset, or a list when ordered.
+
+    Text is trimmed and null is distinct from the empty string. Identical
+    results take an exact path; otherwise the normalized rows are compared
+    pair by pair in canonical order.
+    """
+    a, b = [tuple(r) for r in a], [tuple(r) for r in b]
+    if len(a) != len(b):
+        return False
+    if a == b if order_sensitive else Counter(a) == Counter(b):
+        return True
+    return all(len(x) == len(y) and all(map(_same_value, x, y))
+               for x, y in zip(_normalize_rows(a, order_sensitive),
+                               _normalize_rows(b, order_sensitive)))
+
+
 def _results_match(pred_out: ExecutionOutcome, gold_out: ExecutionOutcome,
-                   gold_sql: str, dedupe: bool = False) -> bool:
-    if gold_out.status is not ExecStatus.OK:
-        return False
-    if pred_out.status is not ExecStatus.OK:
-        return False
-    order_sensitive = has_top_level_order_by(gold_sql)
-    return rows_equal(pred_out.rows, gold_out.rows,
-                      order_sensitive=order_sensitive, dedupe=dedupe)
+                   gold_sql: str) -> bool:
+    return (gold_out.status is ExecStatus.OK and pred_out.status is ExecStatus.OK
+            and rows_equal(pred_out.rows, gold_out.rows,
+                           order_sensitive=has_top_level_order_by(gold_sql)))
 
 
 def exec_match(pred_sql: str, gold_sql: str, db_path: str,
-               timeout: float = DEFAULT_TIMEOUT, dedupe: bool = False) -> bool:
+               timeout: float = DEFAULT_TIMEOUT) -> bool:
     """True iff both queries execute and return identical normalized result sets.
 
+    An empty or blank prediction is a miss, and neither query runs.
     Comparison is an unordered multiset unless the gold query has a top-level
-    ORDER BY; ``dedupe`` switches to set semantics.
+    ORDER BY.
     """
+    if not pred_sql or not pred_sql.strip():
+        return False
     pred_out, gold_out = _run_both(pred_sql, gold_sql, db_path, timeout)
-    return _results_match(pred_out, gold_out, gold_sql, dedupe=dedupe)
+    return _results_match(pred_out, gold_out, gold_sql)
 
 
 def _default_run_timer(db_path: str, sql: str) -> float:
@@ -130,8 +184,7 @@ def score_ex(pred_sql: str, gold_sql: str, db_path: str,
     stamp = db_stamp(db_path)
     if stamp is None:
         return None
-    return ExVerdict(bool(pred_sql) and exec_match(pred_sql, gold_sql, db_path, timeout),
-                     stamp)
+    return ExVerdict(exec_match(pred_sql, gold_sql, db_path, timeout), stamp)
 
 
 def exact_match(pred_sql: str, gold_sql: str) -> Optional[bool]:
@@ -167,10 +220,9 @@ def classify_error(pred_outcome: ExecutionOutcome, gold_outcome: ExecutionOutcom
 
 def score_item(task_id: str, pred_sql: str, gold_sql: str, db_path: str,
                timeout: float = DEFAULT_TIMEOUT, difficulty: str = "unlabeled",
-               with_ves: bool = True, run_timer: Optional[RunTimer] = None,
-               dedupe: bool = False) -> ItemScore:
+               with_ves: bool = True, run_timer: Optional[RunTimer] = None) -> ItemScore:
     pred_out, gold_out = _run_both(pred_sql, gold_sql, db_path, timeout)
-    ex = _results_match(pred_out, gold_out, gold_sql, dedupe=dedupe)
+    ex = _results_match(pred_out, gold_out, gold_sql)
     em = exact_match(pred_sql, gold_sql) if pred_sql.strip() else False
     error_class = classify_error(pred_out, gold_out, ex)
     ratio = None

@@ -1,18 +1,16 @@
-"""Guarded read-only SQL execution with timeout, outcome classification, and row normalization."""
+"""Guarded read-only SQL execution with timeout and outcome classification."""
 
 from __future__ import annotations
 
 import functools
-import math
 import os
 import sqlite3
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 DEFAULT_TIMEOUT = 30.0
 ROWS_PREVIEW_LIMIT = 20
@@ -221,84 +219,3 @@ def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT,
         cursor.close()
     status = ExecStatus.OK if rows else ExecStatus.EMPTY_RESULT
     return ExecutionOutcome(status=status, rows=rows, elapsed=clock() - start)
-
-
-# Floats that are not whole numbers compare within this relative tolerance.
-FLOAT_REL_TOL = 1e-9
-
-
-def _normalize_value(value) -> tuple:
-    """(kind, sort key, value) of one cell; rows are sorted by kind and key alone.
-
-    Integers and integral floats key by their exact value. Other floats key
-    rounded to 11 significant digits, so values within ``FLOAT_REL_TOL`` of
-    each other sort together; equality is then decided by ``_same_value``.
-    """
-    if value is None:
-        return (0, 0, None)
-    if isinstance(value, (int, float)):
-        exact = isinstance(value, int) or value.is_integer()
-        return (1, value if exact else float(f"{value:.10e}"), value)
-    if isinstance(value, bytes):
-        return (3, value, value)
-    text = str(value).strip()
-    return (2, text, text)
-
-
-def _same_number(a, b) -> bool:
-    """Ints, and an int against an integral float, compare exactly; other floats within tolerance."""
-    if a == b:
-        return True
-    exact = (isinstance(a, int) and (isinstance(b, int) or b.is_integer())
-             or isinstance(b, int) and a.is_integer())
-    return not exact and math.isclose(a, b, rel_tol=FLOAT_REL_TOL)
-
-
-def _same_value(a: tuple, b: tuple) -> bool:
-    if a[0] != b[0]:
-        return False
-    return _same_number(a[2], b[2]) if a[0] == 1 else a[1] == b[1]
-
-
-def _sort_key(row: tuple) -> tuple:
-    return tuple(v[:2] for v in row)
-
-
-def normalize_rows(rows: Iterable[Sequence], order_sensitive: bool = False,
-                   dedupe: bool = False) -> list:
-    """Canonical form of a result set: rows of normalized values, in comparison order.
-
-    Text is trimmed and null is distinct from the empty string. Unordered
-    results are sorted by their keys (a multiset); ``dedupe`` first keeps one
-    row per key (set semantics).
-    """
-    normalized = [tuple(map(_normalize_value, row)) for row in rows]
-    if order_sensitive:
-        return normalized
-    if dedupe:
-        normalized = list({_sort_key(r): r for r in reversed(normalized)}.values())
-    return sorted(normalized, key=_sort_key)
-
-
-def rows_equal(a: Iterable[Sequence], b: Iterable[Sequence],
-               order_sensitive: bool = False, dedupe: bool = False) -> bool:
-    """True when two result sets hold the same rows, paired in canonical order.
-
-    Identical results take an exact path; otherwise the normalized rows are
-    compared pair by pair.
-    """
-    a, b = [tuple(r) for r in a], [tuple(r) for r in b]
-    if order_sensitive:
-        if a == b:
-            return True
-    elif dedupe:
-        if set(a) == set(b):
-            return True
-    elif len(a) != len(b):
-        return False
-    elif Counter(a) == Counter(b):
-        return True
-    na = normalize_rows(a, order_sensitive, dedupe)
-    nb = normalize_rows(b, order_sensitive, dedupe)
-    return len(na) == len(nb) and all(
-        len(x) == len(y) and all(map(_same_value, x, y)) for x, y in zip(na, nb))

@@ -1,18 +1,23 @@
 """Agent prompt templates and the slot-filling helper.
 
-Templates carry literal ``{slot}`` markers that are substituted by plain string
-replacement (never str.format) because schema text and worked examples contain
-braces of their own.
+Templates carry literal ``{slot}`` markers that are substituted in one pass
+over the template (never str.format) because schema text and worked examples
+contain braces of their own.
 """
 
 from __future__ import annotations
 
+import re
+
+_SLOT = re.compile(r"\{(\w+)\}")
+
 
 def fill(template: str, **slots: str) -> str:
-    out = template
-    for name, value in slots.items():
-        out = out.replace("{" + name + "}", value)
-    return out
+    """``template`` with each marker of a given slot replaced; other markers stay.
+
+    Text put in for one slot is never searched for markers again.
+    """
+    return _SLOT.sub(lambda m: slots.get(m.group(1), m.group(0)), template)
 
 
 SELECTOR_TEMPLATE = """As an experienced and professional database administrator, your task is to analyze a user question and a database schema to provide relevant information. The database schema consists of table descriptions, each containing multiple column descriptions. Your goal is to identify the relevant tables and columns based on the user question and evidence provided.

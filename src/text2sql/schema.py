@@ -122,24 +122,12 @@ class DatabaseSchema:
                          for fk in self.foreign_keys)
 
 
-def _type_affinity(declared_type: str) -> str:
-    """SQLite column affinity from a declared type, per the engine's rules."""
+def _is_numeric_affine(declared_type: str) -> bool:
+    """True when SQLite gives the declared type INTEGER, REAL or NUMERIC affinity."""
     t = (declared_type or "").upper()
     if "INT" in t:
-        return "INTEGER"
-    if "CHAR" in t or "CLOB" in t or "TEXT" in t:
-        return "TEXT"
-    if not t:
-        return "BLOB"
-    if "BLOB" in t:
-        return "BLOB"
-    if "REAL" in t or "FLOA" in t or "DOUB" in t:
-        return "REAL"
-    return "NUMERIC"
-
-
-def _is_numeric_affine(declared_type: str) -> bool:
-    return _type_affinity(declared_type) in ("INTEGER", "REAL", "NUMERIC")
+        return True
+    return bool(t) and not any(mark in t for mark in ("CHAR", "CLOB", "TEXT", "BLOB"))
 
 
 def render_literal(value) -> str:

@@ -440,6 +440,20 @@ class TestBadItemsFile:
         self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
                               '[{"db_id": "banking_system",')
 
+    @pytest.mark.parametrize("bad", [
+        {"SQL": 5},
+        {"question_id": True},
+        {"difficulty": 3},
+    ])
+    def test_value_of_the_wrong_type(self, runner, banking_bird_root, script_config,
+                                     tmp_path, bad):
+        items = [{"question_id": 0, "db_id": "banking_system", "question": QUESTION,
+                  "SQL": "SELECT 1", "difficulty": "simple"},
+                 {"question_id": 1, "db_id": "banking_system", "question": QUESTION,
+                  "SQL": "SELECT 1", **bad}]
+        self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
+                              json.dumps(items))
+
 
 def _no_sql(monkeypatch):
     def refuse(*args, **kwargs):

@@ -79,6 +79,18 @@ class TestLoadBird:
         with pytest.raises(MalformedItem):
             load_benchmark("bird", str(items), str(banking_bird_root))
 
+    def test_null_ids_fall_back_to_the_index(self, banking_bird_root, tmp_path):
+        items = write_items(tmp_path / "dev.json", [
+            {"question_id": None, "db_id": "banking_system", "question": "q"},
+            {"question_id": None, "db_id": "banking_system", "question": "q"}])
+        bench = load_benchmark("bird", str(items), str(banking_bird_root))
+        assert [t.task_id for t in bench.tasks] == ["0", "1"]
+
+    def test_empty_database_id_is_malformed(self, banking_bird_root, tmp_path):
+        items = write_items(tmp_path / "dev.json", [{"db_id": "", "question": "q"}])
+        with pytest.raises(MalformedItem):
+            load_benchmark("bird", str(items), str(banking_bird_root))
+
 
 class TestLoadSpider:
     def test_evidence_always_empty(self, banking_bird_root, tmp_path):
@@ -125,3 +137,11 @@ class TestTask:
         task = Task(task_id="7", db_id="shop", question="q", evidence="e",
                     gold_sql="SELECT 1", difficulty="simple")
         assert decoder(Task)(json.loads(json.dumps(task, default=encode))) == task
+
+
+def test_decoder_refuses_a_bool_for_a_number():
+    for tp in (int, float):
+        with pytest.raises(TypeError):
+            decoder(tp)(True)
+    assert decoder(float)(1) == 1
+    assert decoder(bool)(False) is False

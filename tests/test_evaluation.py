@@ -54,7 +54,13 @@ class TestExecMatch:
         gold = "SELECT customer FROM orders"
         pred = "SELECT DISTINCT customer FROM orders"
         assert exec_match(pred, gold, db_paths["shop"]) is False
-        assert exec_match(pred, gold, db_paths["shop"], dedupe=True) is True
+
+    @pytest.mark.parametrize("pred", ["", "  "])
+    def test_empty_prediction_runs_no_sql(self, db_paths, monkeypatch, pred):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SQL was executed")
+        monkeypatch.setattr(evaluation, "execute_sql", refuse)
+        assert exec_match(pred, "SELECT name FROM products", db_paths["shop"]) is False
 
 
 class TestVes:

@@ -11,13 +11,8 @@ import time
 import pytest
 
 from text2sql.clauses import has_top_level_order_by
-from text2sql.execution import (
-    ExecStatus,
-    ExecutionOutcome,
-    execute_sql,
-    normalize_rows,
-    rows_equal,
-)
+from text2sql.evaluation import rows_equal
+from text2sql.execution import ExecStatus, ExecutionOutcome, execute_sql
 from text2sql.schema import introspect
 
 
@@ -303,8 +298,7 @@ class TestOutcomeInvariants:
 
 class TestNormalizeRows:
     def test_empty(self):
-        assert normalize_rows([]) == normalize_rows(())
-        assert not normalize_rows([])
+        assert rows_equal([], ())
 
     def test_order_insensitive_default(self):
         assert rows_equal([(1, "a"), (2, "b")], [(2, "b"), (1, "a")])
@@ -315,7 +309,6 @@ class TestNormalizeRows:
 
     def test_multiset_vs_set(self):
         assert not rows_equal([(1,), (1,)], [(1,)])
-        assert rows_equal([(1,), (1,)], [(1,)], dedupe=True)
 
     def test_numeric_tolerance(self):
         assert rows_equal([(1.0 + 1e-12,)], [(1.0,)])
@@ -343,7 +336,6 @@ class TestNormalizeRows:
         assert not rows_equal([(0.3, "x"), (0.3, "x")], gold)
 
     def test_near_equal_floats_collapse_under_dedupe(self):
-        assert rows_equal([(0.3,), (0.1 + 0.2,)], [(0.3,)], dedupe=True)
         assert not rows_equal([(0.3,), (0.1 + 0.2,)], [(0.3,)])
 
     def test_null_distinct_from_empty_string(self):

@@ -59,3 +59,21 @@ def test_fill_is_brace_safe():
     template = "keep {slot} but not {other} or {braces}"
     filled = fill(template, slot="{nested}")
     assert filled == "keep {nested} but not {other} or {braces}"
+
+
+def test_refiner_prompt_shows_the_old_sql_as_written(banking_schema):
+    desc, fk = pruned_texts(banking_schema)
+    outcome = ExecutionOutcome(status=ExecStatus.SYNTAX_ERROR,
+                               error_message="near x: syntax error",
+                               exception_class="OperationalError")
+    old_sql = "SELECT '{sqlite_error}' FROM t"
+    prompt = build_refiner_prompt(QUESTION, EVIDENCE, desc, fk, old_sql, outcome).user_text
+    assert f"[old SQL]\n```sql\n{old_sql}\n```" in prompt
+    assert "'near x: syntax error'" not in prompt
+
+
+def test_decomposer_prompt_keeps_slot_markers_in_schema_text():
+    prompt = build_decomposer_prompt("# Table: t\n[(note, {query})]", "", "How many?",
+                                     shots=0).user_text
+    assert "[(note, {query})]" in prompt
+    assert prompt.count("How many?") == 1
