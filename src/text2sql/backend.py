@@ -31,7 +31,7 @@ class BackendUnavailable(Exception):
     """The HTTP backend failed permanently (retries exhausted or fatal status)."""
 
 
-class ScriptMiss(Exception):
+class ScriptMiss(BackendUnavailable):
     """A scripted backend had no (or no unique) entry for the request."""
 
 

@@ -19,7 +19,7 @@ from .backend import (
     HttpBackend,
     ScriptedBackend,
 )
-from .codec import encode
+from .codec import decoder, encode
 from .datasets import (
     DatabaseRegistry,
     MalformedItem,
@@ -228,7 +228,7 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
               type=click.Path(exists=True, file_okay=False))
 @click.option("--journal", "journal_path", required=True, type=click.Path())
 @click.option("--parallelism", type=int, default=None)
-@click.option("--limit", type=int, default=None,
+@click.option("--limit", type=click.IntRange(min=1), default=None,
               help="Only run the first N items.")
 @_backend_options
 def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
@@ -241,7 +241,7 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
         "parallelism": parallelism,
     })
     bench = _benchmark(benchmark_name, items_path, db_root)
-    tasks = bench.tasks[:limit] if limit else bench.tasks
+    tasks = bench.tasks[:limit]
     llm = build_backend(settings)
     pipe = Pipeline(llm, bench.registry(), pipeline_config(settings))
 
@@ -251,18 +251,19 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
 
     states = pipe.run_batch(tasks, journal_path=journal_path, progress=progress)
 
-    def ex_of(state) -> bool:
-        db_path = bench.registry().path(state.task.db_id)
-        ex = recorded_ex(state, db_path)
+    def ex_of(task, state) -> bool:
+        db_path = bench.registry().path(task.db_id)
+        ex = recorded_ex(state, db_path, task.gold_sql)
         if ex is None:  # no verdict that still holds: score it here
-            ex = exec_match(state.final_sql, state.task.gold_sql, db_path,
+            ex = exec_match(state.final_sql, task.gold_sql, db_path,
                             timeout=settings["timeout"])
         return ex
 
-    with_gold = [s for s in states if s.task.gold_sql]
+    # the states come back in task order; each is scored against the gold in --items
+    with_gold = [(t, s) for t, s in zip(tasks, states) if t.gold_sql]
     summary = {"n": len(states), "journal": journal_path, "ex_pct": None}
     if with_gold:
-        summary["ex_pct"] = 100.0 * sum(map(ex_of, with_gold)) / len(with_gold)
+        summary["ex_pct"] = 100.0 * sum(ex_of(t, s) for t, s in with_gold) / len(with_gold)
     if json_output:
         click.echo(json.dumps(summary, sort_keys=True))
     elif summary["ex_pct"] is not None:
@@ -280,10 +281,8 @@ def _load_predictions(path: str) -> dict[str, str]:
     if not text.strip():
         raise click.UsageError("predictions file is empty")
     try:
-        data = json.loads(text)
-        if isinstance(data, dict) and all(isinstance(v, str) for v in data.values()):
-            return {str(k): v for k, v in data.items()}
-    except json.JSONDecodeError:
+        return decoder(dict[str, str])(json.loads(text))
+    except (TypeError, ValueError):  # not a task_id -> SQL object: read it as a journal
         pass
     predictions = {task_id: state.final_sql
                    for task_id, state in Journal(path).load().items()}

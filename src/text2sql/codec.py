@@ -37,8 +37,9 @@ def _expect(value, kind) -> None:
 def decoder(tp) -> Callable:
     """The function that rebuilds a ``tp`` from what ``json.dumps(default=encode)`` wrote.
 
-    It raises TypeError or ValueError when a value does not fit the type;
-    missing dataclass fields take their defaults, unknown keys are ignored.
+    It raises TypeError or ValueError, named by the field that failed, when a
+    value does not fit the type; missing dataclass fields take their defaults,
+    unknown keys are ignored.
     """
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
@@ -46,7 +47,17 @@ def decoder(tp) -> Callable:
 
         def record(value):
             _expect(value, dict)
-            return tp(**{k: dec(value[k]) for k, dec in parts if k in value})
+            try:
+                return tp(**{k: dec(value[k]) for k, dec in parts if k in value})
+            except (TypeError, ValueError) as exc:
+                # decoded again to name the field that failed: success pays nothing
+                for k, dec in parts:
+                    if k in value:
+                        try:
+                            dec(value[k])
+                        except (TypeError, ValueError):
+                            raise type(exc)(f"{k}: {exc}") from None
+                raise  # the constructor refused the values, not a field decoder
         return record
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):

@@ -32,7 +32,7 @@ class MissingDatabase(Exception):
 
 
 class MalformedItem(Exception):
-    """The items file is not a JSON array of objects, or an item does not fit ``_Item``."""
+    """Not a JSON array of objects, or an item that misfits ``_Item`` or reuses a task id."""
 
 
 @dataclass
@@ -257,6 +257,7 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
     tasks: list[Task] = []
     registry = DatabaseRegistry()
     registered: set[str] = set()
+    task_ids: set[str] = set()
     for idx, value in enumerate(items):
         try:
             item = read_item(value)
@@ -270,6 +271,9 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
             )
         except (TypeError, ValueError) as exc:
             raise MalformedItem(f"item {idx}: {exc}") from None
+        if task.task_id in task_ids:  # every command keys its states by task id
+            raise MalformedItem(f"item {idx}: task id {task.task_id!r} is used twice")
+        task_ids.add(task.task_id)
         if task.db_id not in registered:
             db_file = _database_file(root, task.db_id)
             if not db_file.exists():

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .clauses import UnsupportedSyntax, has_top_level_order_by, parse_to_clause_set
 from .codec import encode
-from .execution import DEFAULT_TIMEOUT, ExecStatus, ExecutionOutcome, db_stamp, execute_sql
+from .execution import DEFAULT_TIMEOUT, ExecStatus, ExecutionOutcome, execute_sql
 
 VES_REPEATS = 5
 # Floats that are not whole numbers compare within this relative tolerance.
@@ -52,13 +52,7 @@ class ItemScore:
 
 def _run_both(pred_sql: str, gold_sql: str, db_path: str, timeout: float):
     gold_out = execute_sql(db_path, gold_sql, timeout=timeout)
-    if pred_sql and pred_sql.strip():
-        pred_out = execute_sql(db_path, pred_sql, timeout=timeout)
-    else:
-        pred_out = ExecutionOutcome(status=ExecStatus.SYNTAX_ERROR,
-                                    error_message="empty prediction",
-                                    exception_class="EmptyPrediction")
-    return pred_out, gold_out
+    return execute_sql(db_path, pred_sql, timeout=timeout), gold_out
 
 
 def _normalize_value(value) -> tuple:
@@ -170,21 +164,12 @@ def ves_ratio(pred_sql: str, gold_sql: str, db_path: str,
 class ExVerdict:
     """EX of a state's final SQL against its own gold, and the database it ran on.
 
-    ``db_stamp`` is ``execution.db_stamp`` of the database file, taken
-    before the queries ran; the verdict holds while the file still has it.
+    ``db_stamp`` is ``execution.db_stamp`` of the database file, taken before the
+    queries ran; the verdict holds while the file has it and the gold is unchanged.
     """
 
     ex: bool
     db_stamp: tuple[int, int, int]
-
-
-def score_ex(pred_sql: str, gold_sql: str, db_path: str,
-             timeout: float = DEFAULT_TIMEOUT) -> Optional[ExVerdict]:
-    """The EX verdict of ``pred_sql`` against ``gold_sql``; None when the file is gone."""
-    stamp = db_stamp(db_path)
-    if stamp is None:
-        return None
-    return ExVerdict(exec_match(pred_sql, gold_sql, db_path, timeout), stamp)
 
 
 def exact_match(pred_sql: str, gold_sql: str) -> Optional[bool]:

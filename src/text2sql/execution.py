@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 DEFAULT_TIMEOUT = 30.0
 ROWS_PREVIEW_LIMIT = 20
@@ -32,7 +32,6 @@ class ExecutionOutcome:
     rows: Optional[tuple] = None
     error_message: str = ""
     exception_class: str = ""
-    elapsed: float = 0.0
 
     def __post_init__(self):
         has_rows = self.rows is not None
@@ -58,7 +57,7 @@ class OutcomeSummary:
     elapsed: float = 0.0
 
     @classmethod
-    def from_outcome(cls, outcome: ExecutionOutcome) -> "OutcomeSummary":
+    def from_outcome(cls, outcome: ExecutionOutcome, elapsed: float) -> "OutcomeSummary":
         count = preview = None
         if outcome.rows is not None:
             count = len(outcome.rows)
@@ -66,7 +65,7 @@ class OutcomeSummary:
                                   for v in row)
                             for row in outcome.rows[:ROWS_PREVIEW_LIMIT])
         return cls(outcome.status, count, preview, outcome.error_message,
-                   outcome.exception_class, outcome.elapsed)
+                   outcome.exception_class, elapsed)
 
 
 def db_stamp(db_path: str) -> Optional[tuple[int, int, int]]:
@@ -180,17 +179,16 @@ def _classify_error(exc: BaseException) -> ExecStatus:
     return ExecStatus.OTHER_ERROR
 
 
-def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT,
-                clock: Callable[[], float] = time.monotonic) -> ExecutionOutcome:
-    """Run one read-only statement; every failure mode is encoded in the outcome.
+def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT) -> ExecutionOutcome:
+    """Run one read-only statement; every failure mode, blank SQL too, is encoded in the outcome.
 
     The statement runs on this thread's guarded connection: the authorizer
     refuses any action but reading (DENIED), and a progress handler stops it
     once ``timeout`` seconds have passed (TIMEOUT).
     """
-    if not sql or not sql.strip():
-        raise ValueError("sql must be nonempty")
-    start = clock()
+    if not sql or not sql.strip():  # opens no connection
+        return ExecutionOutcome(ExecStatus.SYNTAX_ERROR, error_message="empty statement",
+                                exception_class="EmptyStatement")
     try:
         conn = _connection(db_path)
     except (sqlite3.Error, OSError) as exc:
@@ -198,7 +196,6 @@ def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT,
             status=ExecStatus.OTHER_ERROR,
             error_message=str(exc),
             exception_class=type(exc).__name__,
-            elapsed=clock() - start,
         )
     _slot.deadline = time.monotonic() + timeout
     _slot.timed_out = _slot.denied = False
@@ -212,10 +209,9 @@ def execute_sql(db_path: str, sql: str, timeout: float = DEFAULT_TIMEOUT,
             status=status,
             error_message=_DENIED_MESSAGE if status is ExecStatus.DENIED else str(exc),
             exception_class=type(exc).__name__,
-            elapsed=clock() - start,
         )
     finally:
         # resets the statement, so no read transaction stays open between calls
         cursor.close()
     status = ExecStatus.OK if rows else ExecStatus.EMPTY_RESULT
-    return ExecutionOutcome(status=status, rows=rows, elapsed=clock() - start)
+    return ExecutionOutcome(status=status, rows=rows)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .backend import BackendUnavailable, ChatResponse, ScriptMiss
+from .backend import BackendUnavailable, ChatResponse
 from .codec import decoder, encode
 from .datasets import DatabaseRegistry, Task
 from .decomposer import (
@@ -21,7 +21,7 @@ from .decomposer import (
     build_decomposer_prompt,
     parse_decomposition,
 )
-from .evaluation import ExVerdict, exec_match, score_ex
+from .evaluation import ExVerdict, exec_match
 from .execution import DEFAULT_TIMEOUT, db_stamp
 from .refiner import MAX_ROUNDS, RefineAttempt, refine_loop
 from .schema import render_foreign_keys, render_schema_description, render_table_blocks
@@ -92,14 +92,14 @@ class PipelineState:
     ex_verdict: Optional[ExVerdict] = None
 
 
-def recorded_ex(state: PipelineState, db_path: str) -> Optional[bool]:
-    """The state's journaled EX while it still holds, else None.
+def recorded_ex(state: PipelineState, db_path: str, gold: str) -> Optional[bool]:
+    """The state's journaled EX while it still holds against ``gold``, else None.
 
     A verdict was scored against the state's own gold SQL, so it holds while
-    that gold is there and the database file keeps the stamp it had.
+    that gold equals ``gold`` and the database file keeps the stamp it had.
     """
     verdict = state.ex_verdict
-    if verdict is None or not state.task.gold_sql or verdict.db_stamp != db_stamp(db_path):
+    if verdict is None or state.task.gold_sql != gold or verdict.db_stamp != db_stamp(db_path):
         return None
     return verdict.ex
 
@@ -166,7 +166,7 @@ class Pipeline:
                     desc_str, fk_str, decomposition.final_sql,
                     max_rounds=config.max_rounds, timeout=config.timeout,
                     clock=self.clock)
-            except (BackendUnavailable, ScriptMiss) as exc:
+            except BackendUnavailable as exc:
                 state.error = f"refiner backend failure: {exc}"
                 state.final_sql = decomposition.final_sql
             else:
@@ -174,7 +174,7 @@ class Pipeline:
                 state.final_sql = final_sql
         except NoSqlFound as exc:
             state.error = f"decomposer produced no SQL: {exc}"
-        except (BackendUnavailable, ScriptMiss) as exc:
+        except BackendUnavailable as exc:
             state.error = f"backend failure: {exc}"
         except Exception as exc:  # per-task isolation: nothing escapes a worker
             logger.exception("task %s failed", task.task_id)
@@ -190,9 +190,11 @@ class Pipeline:
         state = self.run_question(task)
         if task.gold_sql:
             try:
-                state.ex_verdict = score_ex(state.final_sql, task.gold_sql,
-                                            self.registry.path(task.db_id),
-                                            timeout=self.config.timeout)
+                db_path = self.registry.path(task.db_id)
+                stamp = db_stamp(db_path)  # taken before the queries run
+                if stamp is not None:  # None: the file is gone
+                    state.ex_verdict = ExVerdict(exec_match(
+                        state.final_sql, task.gold_sql, db_path, self.config.timeout), stamp)
             except Exception:  # no verdict: the readers score the state themselves
                 logger.exception("scoring task %s failed", task.task_id)
         return state
@@ -294,20 +296,21 @@ def export_instruction_data(states: Iterable[PipelineState],
                             timeout: float = DEFAULT_TIMEOUT) -> list[InstructionRecord]:
     """One record per agent call, for states whose final SQL execution-matches gold.
 
-    A journaled verdict is used while it holds (``recorded_ex``); any other
-    state runs its final and gold SQL again. Raises MissingGold when a state
-    has no gold query to filter against.
+    The gold is ``gold_lookup``'s, else the journaled task's. A journaled verdict
+    is used while it holds against that gold (``recorded_ex``); any other state
+    runs its final and gold SQL again. Raises MissingGold when a state has no
+    gold query to filter against.
     """
     records: list[InstructionRecord] = []
     for state in states:
         task = state.task
-        gold = task.gold_sql or (gold_lookup or {}).get(task.task_id)
+        gold = (gold_lookup or {}).get(task.task_id) or task.gold_sql
         if not gold:
             raise MissingGold(f"no gold SQL for task {task.task_id}")
         if not state.final_sql:
             continue
         db_path = registry.path(task.db_id)
-        ex = recorded_ex(state, db_path)
+        ex = recorded_ex(state, db_path, gold)
         if ex is None:
             ex = exec_match(state.final_sql, gold, db_path, timeout=timeout)
         if not ex:

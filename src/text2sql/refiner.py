@@ -75,8 +75,9 @@ def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
     corrections = 0
     while True:
         rnd = len(attempts) + 1
-        outcome = execute_sql(db_path, sql, timeout=timeout, clock=clock)
-        summary = OutcomeSummary.from_outcome(outcome)
+        start = clock()
+        outcome = execute_sql(db_path, sql, timeout=timeout)
+        summary = OutcomeSummary.from_outcome(outcome, clock() - start)
         if outcome.status is ExecStatus.OK or corrections >= max_rounds:
             attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary))
             return sql, attempts

@@ -236,6 +236,20 @@ class TestBench:
         assert after.startswith(before)
         assert len(Journal(str(journal)).load()) == 3
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_a_usage_error(self, runner, banking_bird_root,
+                                              bird_items_file, script_config, tmp_path,
+                                              limit):
+        journal = tmp_path / "journal.jsonl"
+        result = runner.invoke(main, [
+            "bench", "--benchmark", "bird", "--items", bird_items_file,
+            "--db-root", str(banking_bird_root), "--journal", str(journal),
+            "--config", script_config, "--limit", limit,
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--limit" in result.output
+        assert not journal.exists()
+
     def test_second_run_reads_the_schema_cache(self, runner, banking_bird_root,
                                                bird_items_file, script_config, tmp_path,
                                                monkeypatch):
@@ -403,7 +417,7 @@ class TestExportSft:
 class TestBadItemsFile:
     """Each command turns an items file it cannot load into one usage line."""
 
-    def run_each_command(self, runner, root, script_config, tmp_path, items):
+    def run_each_command(self, runner, root, script_config, tmp_path, items, expect=""):
         items_path = tmp_path / "dev.json"
         items_path.write_text(items, encoding="utf-8")
         common = ["--benchmark", "bird", "--items", str(items_path), "--db-root", str(root)]
@@ -417,6 +431,7 @@ class TestBadItemsFile:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args[0], result.output)
             assert "bad items file" in result.output
+            assert expect in result.output
             assert "Traceback" not in result.output
 
     def test_item_that_is_not_an_object(self, runner, banking_bird_root, script_config,
@@ -434,7 +449,7 @@ class TestBadItemsFile:
                                               script_config, tmp_path):
         items = [{"question_id": 0, "db_id": 5, "question": QUESTION, "SQL": "SELECT 1"}]
         self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
-                              json.dumps(items))
+                              json.dumps(items), expect="item 0: db_id: ")
 
     def test_unparseable_file(self, runner, banking_bird_root, script_config, tmp_path):
         self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
@@ -451,8 +466,22 @@ class TestBadItemsFile:
                   "SQL": "SELECT 1", "difficulty": "simple"},
                  {"question_id": 1, "db_id": "banking_system", "question": QUESTION,
                   "SQL": "SELECT 1", **bad}]
+        [field] = bad
         self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
-                              json.dumps(items))
+                              json.dumps(items), expect=f"item 1: {field}: ")
+
+    @pytest.mark.parametrize("ids, task_id", [
+        ((7, 7), "7"),
+        ((7, "7"), "7"),
+        ((None, 0), "0"),  # a null id falls back to the item's index
+    ])
+    def test_task_id_used_twice(self, runner, banking_bird_root, script_config,
+                                tmp_path, ids, task_id):
+        items = [{"question_id": qid, "db_id": "banking_system", "question": QUESTION,
+                  "SQL": FINAL_GENDER_SQL} for qid in ids]
+        self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
+                              json.dumps(items),
+                              expect=f"item 1: task id '{task_id}' is used twice")
 
 
 def _no_sql(monkeypatch):
@@ -547,6 +576,33 @@ class TestJournaledVerdict:
         again = self.bench(runner, db_root, bird_items_file, script_config, journal)
         assert again["ex_pct"] == first["ex_pct"]
         assert abs(again["ex_pct"] - 200.0 / 3) < 1e-9
+
+    def corrected_items(self, bird_items_file, tmp_path):
+        """The items file with item 0's gold changed, so its journaled answer is now wrong."""
+        items = json.loads(Path(bird_items_file).read_text(encoding="utf-8"))
+        items[0]["SQL"] = "SELECT 'M'"
+        path = tmp_path / "corrected.json"
+        path.write_text(json.dumps(items), encoding="utf-8")
+        return str(path)
+
+    def test_resumed_bench_scores_against_the_items_gold(self, runner, db_root,
+                                                         bird_items_file, script_config,
+                                                         tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        self.bench(runner, db_root, bird_items_file, script_config, journal)
+        again = self.bench(runner, db_root, self.corrected_items(bird_items_file, tmp_path),
+                           script_config, journal)
+        assert abs(again["ex_pct"] - 100.0 / 3) < 1e-9
+
+    def test_export_scores_against_the_items_gold(self, runner, db_root, bird_items_file,
+                                                  script_config, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        self.bench(runner, db_root, bird_items_file, script_config, journal)
+        before = self.export(runner, db_root, bird_items_file, journal, tmp_path / "a.jsonl")
+        after = self.export(runner, db_root, self.corrected_items(bird_items_file, tmp_path),
+                            journal, tmp_path / "b.jsonl")
+        assert len(before.splitlines()) == 4
+        assert after.splitlines() == before.splitlines()[2:]  # only item 2's records
 
 
 class TestEarlierJournal:

@@ -61,9 +61,15 @@ class TestExecuteSql:
         assert [list(r) for r in outcome.rows] == [list(r) for r in oracle]
         assert outcome.rows == (("F",),)
 
-    def test_empty_sql_rejected(self, banking_db):
-        with pytest.raises(ValueError):
-            execute_sql(str(banking_db), "   ")
+    def test_empty_sql_rejected(self, banking_db, tmp_path):
+        for sql in ("", "   ", "\n\t"):
+            outcome = execute_sql(str(banking_db), sql)
+            assert outcome.status is ExecStatus.SYNTAX_ERROR
+            assert (outcome.error_message, outcome.exception_class) == (
+                "empty statement", "EmptyStatement")
+        # refused before a connection opens, so a missing file does not matter
+        missing = execute_sql(str(tmp_path / "missing.sqlite"), " ")
+        assert missing.status is ExecStatus.SYNTAX_ERROR
 
     def test_timeout_within_bound(self, banking_db):
         runaway = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "

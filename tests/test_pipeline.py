@@ -303,13 +303,16 @@ class TestRunBatch:
         pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
         [state] = pipe.run_batch([banking_task(gold="SELECT 'M'")])
         db_path = registry.path("banking_system")
-        assert recorded_ex(state, db_path) is False
+        gold = "SELECT 'M'"
+        assert recorded_ex(state, db_path, gold) is False
         state.ex_verdict = dataclasses.replace(state.ex_verdict, ex=True)
-        assert recorded_ex(state, db_path) is True
+        assert recorded_ex(state, db_path, gold) is True
         stale = dataclasses.replace(state.ex_verdict, db_stamp=(0, 0, 0))
-        assert recorded_ex(dataclasses.replace(state, ex_verdict=stale), db_path) is None
+        assert recorded_ex(dataclasses.replace(state, ex_verdict=stale), db_path, gold) is None
+        assert recorded_ex(state, db_path, "SELECT 'F'") is None  # the gold was corrected
+        assert recorded_ex(state, db_path, None) is None
         state.task = banking_task(gold=None)
-        assert recorded_ex(state, db_path) is None
+        assert recorded_ex(state, db_path, gold) is None
 
     def test_progress_stream(self, registry, scripted_backend):
         seen = []
