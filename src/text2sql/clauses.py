@@ -11,7 +11,9 @@ back the identical ClauseSet.
 
 Supported grammar: SELECT / FROM / JOIN..ON / WHERE / GROUP BY / HAVING /
 ORDER BY / LIMIT, nested subqueries, UNION / INTERSECT / EXCEPT, aggregate
-functions, CAST, and CASE. Anything else raises UnsupportedSyntax.
+functions, CAST, CASE and EXISTS. Operators bind by the levels of _BIN_PREC,
+where comparisons do not chain. Anything else raises UnsupportedSyntax,
+among it "a = b = c" and NOT as an operand ("x > NOT y").
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ class ClauseSet:
 class _Token(NamedTuple):
     kind: str  # ident | number | string | op | end
     text: str
-    quoted: bool = False
+    # what the parser matches: an operator's text ("==" and "!=" as "=" and
+    # "<>"), an unquoted identifier's ASCII upper case, and None for the rest
+    key: Optional[str] = None
 
 
 # One named group per token kind, tried in order: a closed comment, string or
@@ -92,6 +96,8 @@ _RESERVED = {
     "DESC", "COLLATE", "WITH", "VALUES", "OVER",
 }
 
+_SAME_OP = {"==": "=", "!=": "<>"}
+
 
 def _tokenize(sql: str) -> list[_Token]:
     tokens = []
@@ -102,11 +108,15 @@ def _tokenize(sql: str) -> list[_Token]:
         if kind == "string":
             tokens.append(_Token("string", text[1:-1].replace("''", "'")))
         elif kind == "quoted":
-            tokens.append(_Token("ident", text[1:-1], True))
+            tokens.append(_Token("ident", text[1:-1]))
         elif kind == "unclosed":
             raise UnsupportedSyntax(f"unclosed {text!r} near {sql[m.start():m.start() + 20]!r}")
         elif kind == "stray":
             raise UnsupportedSyntax(f"unexpected character {text!r}")
+        elif kind == "ident":
+            tokens.append(_Token(kind, text, _upper(text)))
+        elif kind == "op":
+            tokens.append(_Token(kind, text, _SAME_OP.get(text, text)))
         else:
             tokens.append(_Token(kind, text))
     tokens.append(_Token("end", ""))
@@ -165,6 +175,21 @@ class _RawQuery:
     limit: Optional[tuple] = None                  # (limit_expr, offset_expr_or_None)
 
 
+# Precedence levels, loosest first. _BIN_PREC is the one statement of which
+# binary operator binds at which level: the parser climbs it, and the
+# canonical form adds parentheses by it. A level is a left-associative chain,
+# except comparisons: their operands are never comparisons, so "a = b = c" is
+# outside the grammar.
+_OR, _AND, _NOT, _CMP, _ADD, _MUL, _CONCAT, _UNARY, _ATOM = range(1, 10)
+
+_BIN_PREC = {
+    "OR": _OR, "AND": _AND,
+    "=": _CMP, "<>": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP,
+    "IS": _CMP, "IS NOT": _CMP, "LIKE": _CMP, "NOT LIKE": _CMP,
+    "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "%": _MUL, "||": _CONCAT,
+}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.toks = tokens
@@ -180,271 +205,224 @@ class _Parser:
         self.i += 1
         return tok
 
-    def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and not tok.quoted and _upper(tok.text) in words
+    def at(self, *keys: str) -> bool:
+        return self.toks[self.i].key in keys
 
-    def take_kw(self, *words: str) -> Optional[str]:
-        if self.at_kw(*words):
-            return _upper(self.advance().text)
+    def take(self, *keys: str) -> Optional[str]:
+        key = self.toks[self.i].key
+        if key in keys:
+            self.i += 1
+            return key
         return None
 
-    def expect_kw(self, word: str) -> None:
-        if not self.take_kw(word):
-            raise UnsupportedSyntax(f"expected {word}, found {self.peek().text!r}")
-
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
-
-    def take_op(self, *texts: str) -> Optional[str]:
-        if self.at_op(*texts):
-            return self.advance().text
-        return None
-
-    def expect_op(self, text: str) -> None:
-        if not self.take_op(text):
-            raise UnsupportedSyntax(f"expected {text!r}, found {self.peek().text!r}")
+    def expect(self, key: str) -> None:
+        if not self.take(key):
+            raise UnsupportedSyntax(f"expected {key!r}, found {self.peek().text!r}")
 
     # ---- queries
 
     def parse_query(self) -> _RawQuery:
-        if self.at_kw("WITH"):
+        if self.at("WITH"):
             raise UnsupportedSyntax("WITH clauses are not supported")
         selects = [self.parse_select_core()]
         ops = []
-        while self.at_kw("UNION", "INTERSECT", "EXCEPT"):
+        while self.at("UNION", "INTERSECT", "EXCEPT"):
             op = _lower(self.advance().text)
-            if op == "union" and self.take_kw("ALL"):
+            if op == "union" and self.take("ALL"):
                 op = "union all"
             ops.append(op)
             selects.append(self.parse_select_core())
         order = []
         limit = None
-        if self.take_kw("ORDER"):
-            self.expect_kw("BY")
+        if self.take("ORDER"):
+            self.expect("BY")
             order.append(self.parse_order_term())
-            while self.take_op(","):
+            while self.take(","):
                 order.append(self.parse_order_term())
-        if self.take_kw("LIMIT"):
+        if self.take("LIMIT"):
             first = self.parse_expr()
-            if self.take_op(","):
+            if self.take(","):
                 second = self.parse_expr()
                 limit = (second, first)
-            elif self.take_kw("OFFSET"):
+            elif self.take("OFFSET"):
                 limit = (first, self.parse_expr())
             else:
                 limit = (first, None)
         return _RawQuery(selects=selects, ops=ops, order=order, limit=limit)
 
+    def parse_subquery(self) -> _RawQuery:
+        """A query and the ")" that closes it; the "(" is already taken."""
+        query = self.parse_query()
+        self.expect(")")
+        return query
+
     def parse_order_term(self):
         expr = self.parse_expr()
         direction = "asc"
-        if self.take_kw("DESC"):
+        if self.take("DESC"):
             direction = "desc"
         else:
-            self.take_kw("ASC")
+            self.take("ASC")
         return (expr, direction)
 
     def parse_select_core(self) -> _RawSelect:
-        self.expect_kw("SELECT")
+        self.expect("SELECT")
         core = _RawSelect()
-        if self.take_kw("DISTINCT"):
+        if self.take("DISTINCT"):
             core.distinct = True
         else:
-            self.take_kw("ALL")
+            self.take("ALL")
         core.items.append(self.parse_select_item())
-        while self.take_op(","):
+        while self.take(","):
             core.items.append(self.parse_select_item())
-        if self.take_kw("FROM"):
+        if self.take("FROM"):
             core.sources.append(self.parse_source())
             while True:
-                if self.take_op(","):
+                if self.take(","):
                     core.sources.append(self.parse_source())
                     continue
-                if self.at_kw("NATURAL"):
+                if self.at("NATURAL"):
                     raise UnsupportedSyntax("NATURAL joins are not supported")
-                if self.at_kw("JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS"):
-                    if self.take_kw("INNER", "CROSS"):
-                        pass
-                    elif self.take_kw("LEFT", "RIGHT", "FULL"):
-                        self.take_kw("OUTER")
-                    self.expect_kw("JOIN")
-                    core.sources.append(self.parse_source())
-                    if self.take_kw("ON"):
-                        core.join_conds.append(self.parse_expr())
-                    elif self.at_kw("USING"):
-                        raise UnsupportedSyntax("USING join clauses are not supported")
-                    continue
-                break
-        if self.take_kw("WHERE"):
+                if not self.at("JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS"):
+                    break
+                if self.take("LEFT", "RIGHT", "FULL"):
+                    self.take("OUTER")
+                else:
+                    self.take("INNER", "CROSS")
+                self.expect("JOIN")
+                core.sources.append(self.parse_source())
+                if self.take("ON"):
+                    core.join_conds.append(self.parse_expr())
+                elif self.at("USING"):
+                    raise UnsupportedSyntax("USING join clauses are not supported")
+        if self.take("WHERE"):
             core.where = self.parse_expr()
-        if self.take_kw("GROUP"):
-            self.expect_kw("BY")
+        if self.take("GROUP"):
+            self.expect("BY")
             core.group.append(self.parse_expr())
-            while self.take_op(","):
+            while self.take(","):
                 core.group.append(self.parse_expr())
-        if self.take_kw("HAVING"):
+        if self.take("HAVING"):
             core.having = self.parse_expr()
         return core
 
     def parse_select_item(self):
-        if self.take_op("*"):
+        if self.take("*"):
             return (("star", None), None)
         expr = self.parse_expr()
         return (expr, self.parse_alias())
 
     def parse_alias(self) -> Optional[_Token]:
-        if self.take_kw("AS"):
+        if self.take("AS"):
             tok = self.advance()
             if tok.kind != "ident":
                 raise UnsupportedSyntax(f"expected alias, found {tok.text!r}")
             return tok
         tok = self.peek()
-        if tok.kind == "ident" and (tok.quoted or _upper(tok.text) not in _RESERVED):
+        if tok.kind == "ident" and tok.key not in _RESERVED:
             return self.advance()
         return None
 
     def parse_source(self):
-        if self.take_op("("):
-            query = self.parse_query()
-            self.expect_op(")")
-            return ("subquery", query, self.parse_alias())
+        if self.take("("):
+            return ("subquery", self.parse_subquery(), self.parse_alias())
         tok = self.advance()
         if tok.kind != "ident":
             raise UnsupportedSyntax(f"expected table name, found {tok.text!r}")
         return ("table", tok, self.parse_alias())
 
-    # ---- expressions (precedence: or < and < not < comparison < add < mul < concat < unary)
+    # ---- expressions
 
-    def parse_expr(self):
-        return self.parse_or()
+    def parse_expr(self, prec: int = _OR):
+        """An expression whose operators all bind at ``prec`` or tighter.
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.take_kw("OR"):
-            left = ("bin", "or", left, self.parse_and())
+        A level of _BIN_PREC parses as a chain of its operators with operands
+        one level tighter. Prefix NOT, the comparison and unary minus are the
+        levels with forms of their own.
+        """
+        if prec == _NOT and self.take("NOT"):
+            return ("not", self.parse_expr(_NOT))
+        if prec in (_NOT, _CMP):
+            return self.parse_predicate()
+        if prec == _UNARY:
+            if self.take("-"):
+                return ("neg", self.parse_expr(_UNARY))
+            if self.take("+"):
+                return self.parse_expr(_UNARY)
+            return self.parse_primary()
+        left = self.parse_expr(prec + 1)
+        while _BIN_PREC.get(self.peek().key) == prec:
+            left = ("bin", self.advance().key, left, self.parse_expr(prec + 1))
         return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.take_kw("AND"):
-            left = ("bin", "and", left, self.parse_not())
-        return left
-
-    def parse_not(self):
-        if self.take_kw("NOT"):
-            return ("not", self.parse_not())
-        return self.parse_predicate()
 
     def parse_predicate(self):
-        if self.take_kw("EXISTS"):
-            self.expect_op("(")
-            query = self.parse_query()
-            self.expect_op(")")
-            return ("exists", query)
-        left = self.parse_additive()
-        op = self.take_op("=", "==", "!=", "<>", "<", "<=", ">", ">=")
-        if op:
-            op = {"==": "=", "!=": "<>"}.get(op, op)
-            return ("bin", op, left, self.parse_additive())
-        if self.take_kw("IS"):
-            negated = bool(self.take_kw("NOT"))
-            if self.take_kw("NULL"):
+        left = self.parse_expr(_CMP + 1)
+        if self.take("IS"):
+            negated = bool(self.take("NOT"))
+            if self.take("NULL"):
                 return ("isnull", left, negated)
-            right = self.parse_additive()
-            return ("bin", "is not" if negated else "is", left, right)
-        negated = bool(self.take_kw("NOT"))
-        if self.take_kw("IN"):
-            self.expect_op("(")
-            if self.at_kw("SELECT", "WITH"):
-                query = self.parse_query()
-                self.expect_op(")")
-                return ("in", left, ("query", query), negated)
+            return ("bin", "IS NOT" if negated else "IS", left, self.parse_expr(_CMP + 1))
+        negated = bool(self.take("NOT"))
+        if self.take("IN"):
+            self.expect("(")
+            if self.at("SELECT", "WITH"):
+                return ("in", left, ("query", self.parse_subquery()), negated)
             items = []
-            if not self.at_op(")"):
+            if not self.at(")"):
                 items.append(self.parse_expr())
-                while self.take_op(","):
+                while self.take(","):
                     items.append(self.parse_expr())
-            self.expect_op(")")
+            self.expect(")")
             return ("in", left, items, negated)
-        if self.take_kw("LIKE"):
-            pattern = self.parse_additive()
-            if self.at_kw("ESCAPE"):
+        if self.take("LIKE"):
+            pattern = self.parse_expr(_CMP + 1)
+            if self.at("ESCAPE"):
                 raise UnsupportedSyntax("LIKE ... ESCAPE is not supported")
-            return ("bin", "not like" if negated else "like", left, pattern)
-        if self.take_kw("BETWEEN"):
-            low = self.parse_additive()
-            self.expect_kw("AND")
-            high = self.parse_additive()
+            return ("bin", "NOT LIKE" if negated else "LIKE", left, pattern)
+        if self.take("BETWEEN"):
+            low = self.parse_expr(_CMP + 1)
+            self.expect("AND")
+            high = self.parse_expr(_CMP + 1)
             return ("between", left, low, high, negated)
         if negated:
             raise UnsupportedSyntax("NOT must precede IN, LIKE, or BETWEEN here")
+        if _BIN_PREC.get(self.peek().key) == _CMP:
+            return ("bin", self.advance().key, left, self.parse_expr(_CMP + 1))
         return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while True:
-            op = self.take_op("+", "-")
-            if not op:
-                return left
-            left = ("bin", op, left, self.parse_multiplicative())
-
-    def parse_multiplicative(self):
-        left = self.parse_concat()
-        while True:
-            op = self.take_op("*", "/", "%")
-            if not op:
-                return left
-            left = ("bin", op, left, self.parse_concat())
-
-    def parse_concat(self):
-        left = self.parse_unary()
-        while self.take_op("||"):
-            left = ("bin", "||", left, self.parse_unary())
-        return left
-
-    def parse_unary(self):
-        if self.take_op("-"):
-            return ("neg", self.parse_unary())
-        if self.take_op("+"):
-            return self.parse_unary()
-        return self.parse_primary()
 
     def parse_primary(self):
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            if self.at_kw("SELECT", "WITH"):
-                query = self.parse_query()
-                self.expect_op(")")
-                return ("query", query)
+        if self.take("("):
+            if self.at("SELECT", "WITH"):
+                return ("query", self.parse_subquery())
             expr = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
             return expr
-        if tok.kind == "number":
+        if tok.kind in ("number", "string"):
             self.advance()
-            return ("num", tok.text)
-        if tok.kind == "string":
-            self.advance()
-            return ("str", tok.text)
+            return (tok.kind, tok.text)
         if tok.kind == "ident":
-            upper = _upper(tok.text) if not tok.quoted else ""
-            if upper == "NULL":
+            if tok.key == "NULL":
                 self.advance()
                 return ("null",)
-            if upper in ("TRUE", "FALSE"):
+            if tok.key in ("TRUE", "FALSE"):
                 self.advance()
-                return ("num", "1" if upper == "TRUE" else "0")
-            if upper == "CASE":
+                return ("number", "1" if tok.key == "TRUE" else "0")
+            if tok.key == "CASE":
                 return self.parse_case()
-            if upper == "CAST":
+            if tok.key == "CAST":
                 return self.parse_cast()
+            if tok.key == "NOT":
+                # SQLite reads "x > NOT y" as a prefix NOT; the canonical form has no place for it
+                raise UnsupportedSyntax("NOT as an operand is not supported")
             self.advance()
-            if self.at_op("(") and not tok.quoted:
+            if tok.key == "EXISTS":
+                self.expect("(")
+                return ("exists", self.parse_subquery())
+            if tok.key and self.at("("):
                 return self.parse_call(tok)
-            if self.take_op("."):
-                if self.take_op("*"):
+            if self.take("."):
+                if self.take("*"):
                     return ("star", tok)
                 name = self.advance()
                 if name.kind != "ident":
@@ -454,85 +432,73 @@ class _Parser:
         raise UnsupportedSyntax(f"unexpected token {tok.text!r}")
 
     def parse_call(self, name_tok: _Token):
-        self.expect_op("(")
+        self.expect("(")
         name = _lower(name_tok.text)
         distinct = False
         args = []
-        if self.take_op("*"):
+        if self.take("*"):
             args.append(("star", None))
-        elif not self.at_op(")"):
-            distinct = bool(self.take_kw("DISTINCT"))
+        elif not self.at(")"):
+            distinct = bool(self.take("DISTINCT"))
             args.append(self.parse_expr())
-            while self.take_op(","):
+            while self.take(","):
                 args.append(self.parse_expr())
-        self.expect_op(")")
-        if self.at_kw("OVER"):
+        self.expect(")")
+        if self.at("OVER"):
             raise UnsupportedSyntax("window functions are not supported")
         return ("func", name, distinct, args)
 
     def parse_case(self):
-        self.expect_kw("CASE")
+        self.expect("CASE")
         operand = None
-        if not self.at_kw("WHEN"):
+        if not self.at("WHEN"):
             operand = self.parse_expr()
         arms = []
-        while self.take_kw("WHEN"):
+        while self.take("WHEN"):
             when = self.parse_expr()
-            self.expect_kw("THEN")
+            self.expect("THEN")
             arms.append((when, self.parse_expr()))
         if not arms:
             raise UnsupportedSyntax("CASE without WHEN arms")
         default = None
-        if self.take_kw("ELSE"):
+        if self.take("ELSE"):
             default = self.parse_expr()
-        self.expect_kw("END")
+        self.expect("END")
         return ("case", operand, arms, default)
 
     def parse_cast(self):
-        self.expect_kw("CAST")
-        self.expect_op("(")
+        self.expect("CAST")
+        self.expect("(")
         expr = self.parse_expr()
-        self.expect_kw("AS")
+        self.expect("AS")
         words = []
         while self.peek().kind == "ident":
             words.append(_lower(self.advance().text))
-        if self.take_op("("):
+        if self.take("("):
             inner = []
-            while not self.at_op(")"):
+            while not self.at(")"):
                 inner.append(self.advance().text)
-            self.expect_op(")")
+            self.expect(")")
             words.append("(" + ",".join(inner) + ")")
         if not words:
             raise UnsupportedSyntax("CAST without target type")
-        self.expect_op(")")
+        self.expect(")")
         return ("cast", expr, " ".join(words))
 
 
 # ---------------------------------------------------------------------------
 # canonicalization
 
-_ATOM, _UNARY, _CONCAT, _MUL, _ADD, _CMP, _NOT, _AND, _OR = 9, 8, 7, 6, 5, 4, 3, 2, 1
-
 _COMMUTATIVE = {"=", "<>"}
 _SWAP_CMP = {">": "<", ">=": "<="}
-_BIN_PREC = {
-    "or": _OR, "and": _AND,
-    "=": _CMP, "<>": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP,
-    "is": _CMP, "is not": _CMP, "like": _CMP, "not like": _CMP,
-    "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "%": _MUL, "||": _CONCAT,
-}
 
 
 def _canon_ident(tok: _Token) -> str:
-    if not tok.quoted:
+    if tok.key is not None:  # unquoted
         return _lower(tok.text)
     if _SIMPLE_IDENT_RE.match(tok.text) and _upper(tok.text) not in _RESERVED:
         return tok.text
     return f"`{tok.text}`"
-
-
-def _value_last_sort(parts: list[str]) -> list[str]:
-    return sorted(parts, key=lambda p: (p == VALUE, p))
 
 
 class _Scope:
@@ -549,43 +515,30 @@ class _Scope:
             scope = scope.parent
         return None
 
-    def single_source(self) -> Optional[tuple[str, bool]]:
-        if len(self.sources) == 1:
-            return self.sources[0]
-        return None
-
 
 def _canon_query(raw: _RawQuery, parent: Optional[_Scope]) -> ClauseSet:
-    canon_cores = []
-    scopes = []
-    aliases_list = []
-    for core in raw.selects:
-        cs, scope, out_aliases, ordered_items = _canon_select(core, parent)
-        canon_cores.append(cs)
-        scopes.append(scope)
-        aliases_list.append((out_aliases, ordered_items))
-
-    first_scope = scopes[0]
-    out_aliases, ordered_items = aliases_list[0]
+    first, scope, items, out_aliases = _canon_select(raw.selects[0], parent)
+    cores = [first] + [_canon_select(core, parent)[0] for core in raw.selects[1:]]
 
     order_terms = tuple(
-        f"{_resolve_output_term(expr, first_scope, out_aliases, ordered_items)} {direction}"
+        f"{_resolve_output_term(expr, scope, out_aliases, items)[0]} {direction}"
         for expr, direction in raw.order
     )
     limit = None
     if raw.limit is not None:
         limit_expr, offset_expr = raw.limit
-        limit = _canon_expr(limit_expr, first_scope)[0]
+        limit = _canon_expr(limit_expr, scope)[0]
         if offset_expr is not None:
-            limit += f" offset {_canon_expr(offset_expr, first_scope)[0]}"
+            limit += f" offset {_canon_expr(offset_expr, scope)[0]}"
 
-    if len(canon_cores) == 1:
-        return replace(canon_cores[0], order_by=order_terms, limit=limit)
+    if len(cores) == 1:
+        return replace(first, order_by=order_terms, limit=limit)
 
     ops = tuple(raw.ops)
-    children = tuple(canon_cores)
+    children = tuple(cores)
     uniform = len(set(ops)) == 1 and ops[0] in ("union", "union all", "intersect")
-    if uniform:
+    # an ORDER BY names columns of the first core, which then keeps its place
+    if uniform and not order_terms:
         children = tuple(sorted(children, key=render_clause_set))
     return ClauseSet(set_ops=ops, children=children, order_by=order_terms, limit=limit)
 
@@ -605,34 +558,28 @@ def _canon_select(core: _RawSelect, parent: Optional[_Scope]):
         elif is_table:
             scope.alias_map[_lower(payload.text)] = canonical
 
-    ordered_items: list[str] = []
-    out_aliases: dict[str, str] = {}
-    for expr, alias in core.items:
-        text = _canon_expr(expr, scope)[0]
-        ordered_items.append(text)
-        if alias is not None:
-            out_aliases[_lower(alias.text)] = text
+    items = [_canon_expr(expr, scope) for expr, _ in core.items]
+    out_aliases = {_lower(alias.text): item
+                   for (_, alias), item in zip(core.items, items) if alias is not None}
 
-    join_conditions = frozenset(
-        _canon_expr(term, scope)[0] for cond in core.join_conds for term in _chain(cond, "and"))
-    where_predicates = frozenset(
-        _canon_expr(term, scope)[0] for term in _chain(core.where, "and"))
-    group_by = frozenset(
-        _resolve_output_term(e, scope, out_aliases, ordered_items) for e in core.group)
-    having = frozenset(
-        _resolve_output_term(term, scope, out_aliases, ordered_items)
-        for term in _chain(core.having, "and"))
+    def conjuncts(conditions, canon=lambda term: _canon_expr(term, scope)):
+        # an OR term keeps its parentheses, so the terms joined by "and" parse back
+        return frozenset(_wrap(*canon(term), _AND + 1)
+                         for cond in conditions for term in _chain(cond, "AND"))
 
     cs = ClauseSet(
-        select_items=frozenset(ordered_items),
+        select_items=frozenset(text for text, _ in items),
         distinct=core.distinct,
         from_tables=frozenset(c for c, _ in scope.sources),
-        join_conditions=join_conditions,
-        where_predicates=where_predicates,
-        group_by=group_by,
-        having=having,
+        join_conditions=conjuncts(core.join_conds),
+        where_predicates=conjuncts([core.where]),
+        group_by=frozenset(
+            _resolve_output_term(e, scope, out_aliases, items)[0] for e in core.group),
+        # a number in HAVING is a value, not a position
+        having=conjuncts(
+            [core.having], lambda term: _resolve_output_term(term, scope, out_aliases, ())),
     )
-    return cs, scope, out_aliases, ordered_items
+    return cs, scope, items, out_aliases
 
 
 def _chain(node, op: str) -> list:
@@ -651,56 +598,57 @@ def _chain(node, op: str) -> list:
     return operands
 
 
-def _resolve_output_term(expr, scope, out_aliases, ordered_items) -> str:
-    """ORDER BY / GROUP BY term: resolve output aliases and 1-based positions."""
-    if isinstance(expr, tuple) and expr[0] == "col" and expr[1] is None:
+def _resolve_output_term(expr, scope, out_aliases, items) -> tuple[str, int]:
+    """An ORDER BY, GROUP BY or HAVING term; an output alias or a 1-based
+    position in ``items`` reads as its item."""
+    if expr[0] == "col" and expr[1] is None:
         name = _lower(expr[2].text)
         if name in out_aliases:
             return out_aliases[name]
-    if isinstance(expr, tuple) and expr[0] == "num":
+    if expr[0] == "number":
         try:
             pos = int(expr[1])
         except ValueError:
             pos = 0
-        if 1 <= pos <= len(ordered_items):
-            return ordered_items[pos - 1]
-    return _canon_expr(expr, scope)[0]
+        if 1 <= pos <= len(items):
+            if any(text == "*" or text.endswith(".*") for text, _ in items[:pos]):
+                raise UnsupportedSyntax("a position at or after * names no known column")
+            return items[pos - 1]
+    return _canon_expr(expr, scope)
 
 
 def _wrap(text: str, prec: int, minimum: int) -> str:
     return f"({text})" if prec < minimum else text
 
 
+def _qualified(qualifier: _Token, name: str, scope: _Scope) -> str:
+    """A qualified name: an alias reads as its table.
+
+    A subquery's alias drops out in its own scope. In a nested scope it stays
+    as written, as the bare name could read as a column of a nested table.
+    """
+    key = _lower(qualifier.text)
+    table = scope.resolve(key) or _canon_ident(qualifier)
+    if not table.startswith("("):
+        return f"{table}.{name}"
+    return name if key in scope.alias_map else f"{_canon_ident(qualifier)}.{name}"
+
+
 def _canon_expr(node, scope: _Scope) -> tuple[str, int]:
     tag = node[0]
-    if tag in ("num", "str"):
+    if tag in ("number", "string"):
         return VALUE, _ATOM
     if tag == "null":
         return "null", _ATOM
     if tag == "col":
-        qualifier, name_tok = node[1], node[2]
-        name = _canon_ident(name_tok)
+        qualifier, name = node[1], _canon_ident(node[2])
         if qualifier is not None:
-            resolved = scope.resolve(_lower(qualifier.text))
-            if resolved is None:
-                resolved = _canon_ident(qualifier)
-            if resolved.startswith("("):
-                return name, _ATOM
-            return f"{resolved}.{name}", _ATOM
-        single = scope.single_source()
-        if single is not None and single[1]:
-            return f"{single[0]}.{name}", _ATOM
+            return _qualified(qualifier, name, scope), _ATOM
+        if len(scope.sources) == 1 and scope.sources[0][1]:
+            return f"{scope.sources[0][0]}.{name}", _ATOM
         return name, _ATOM
     if tag == "star":
-        qualifier = node[1]
-        if qualifier is None:
-            return "*", _ATOM
-        resolved = scope.resolve(_lower(qualifier.text))
-        if resolved is None:
-            resolved = _canon_ident(qualifier)
-        if resolved.startswith("("):
-            return "*", _ATOM
-        return f"{resolved}.*", _ATOM
+        return ("*" if node[1] is None else _qualified(node[1], "*", scope)), _ATOM
     if tag == "func":
         _, name, distinct, args = node
         if len(args) == 1 and args[0][0] == "star" and args[0][1] is None:
@@ -713,19 +661,20 @@ def _canon_expr(node, scope: _Scope) -> tuple[str, int]:
     if tag == "bin":
         _, op, left, right = node
         prec = _BIN_PREC[op]
-        if op in ("and", "or"):
+        if op in ("AND", "OR"):
             parts = sorted(_wrap(*_canon_expr(x, scope), prec + 1) for x in _chain(node, op))
-            return f" {op} ".join(parts), prec
+            return f" {op.lower()} ".join(parts), prec
         if op in _SWAP_CMP:
             op = _SWAP_CMP[op]
             left, right = right, left
         lt, lp = _canon_expr(left, scope)
         rt, rp = _canon_expr(right, scope)
-        lt = _wrap(lt, lp, prec)
+        # a chain takes its left operand at its own level, but comparisons do not chain
+        lt = _wrap(lt, lp, prec + (prec == _CMP))
         rt = _wrap(rt, rp, prec + 1)
         if op in _COMMUTATIVE:
-            lt, rt = _value_last_sort([lt, rt])
-        return f"{lt} {op} {rt}", prec
+            lt, rt = sorted([lt, rt], key=lambda p: (p == VALUE, p))
+        return f"{lt} {op.lower()} {rt}", prec
     if tag == "not":
         text, p = _canon_expr(node[1], scope)
         return f"not {_wrap(text, p, _NOT)}", _NOT
@@ -733,15 +682,15 @@ def _canon_expr(node, scope: _Scope) -> tuple[str, int]:
         text, p = _canon_expr(node[1], scope)
         if text == VALUE:
             return VALUE, _ATOM
-        return f"-{_wrap(text, p, _UNARY)}", _UNARY
+        # "-(-x)", as "--x" would start a comment
+        return f"-{_wrap(text, p, _ATOM)}", _UNARY
     if tag == "isnull":
         text, p = _canon_expr(node[1], scope)
         keyword = "is not null" if node[2] else "is null"
-        return f"{_wrap(text, p, _CMP)} {keyword}", _CMP
+        return f"{_wrap(text, p, _CMP + 1)} {keyword}", _CMP
     if tag == "in":
         _, needle, bag, negated = node
-        text, p = _canon_expr(needle, scope)
-        text = _wrap(text, p, _CMP)
+        text = _wrap(*_canon_expr(needle, scope), _CMP + 1)
         if isinstance(bag, list):
             inner = ", ".join(sorted(_canon_expr(e, scope)[0] for e in bag))
             target = f"({inner})"
@@ -751,11 +700,11 @@ def _canon_expr(node, scope: _Scope) -> tuple[str, int]:
         return f"{text} {keyword} {target}", _CMP
     if tag == "between":
         _, subject, low, high, negated = node
-        st, sp = _canon_expr(subject, scope)
-        lo = _wrap(*_canon_expr(low, scope), minimum=_CMP + 1)
-        hi = _wrap(*_canon_expr(high, scope), minimum=_CMP + 1)
+        st = _wrap(*_canon_expr(subject, scope), _CMP + 1)
+        lo = _wrap(*_canon_expr(low, scope), _CMP + 1)
+        hi = _wrap(*_canon_expr(high, scope), _CMP + 1)
         keyword = "not between" if negated else "between"
-        return f"{_wrap(st, sp, _CMP)} {keyword} {lo} and {hi}", _CMP
+        return f"{st} {keyword} {lo} and {hi}", _CMP
     if tag == "exists":
         child = _canon_query(node[1], scope)
         return f"exists ({render_clause_set(child)})", _ATOM
@@ -788,7 +737,7 @@ def parse_to_clause_set(sql: str) -> ClauseSet:
     tokens = _tokenize(sql)
     parser = _Parser(tokens)
     raw = parser.parse_query()
-    while parser.take_op(";"):
+    while parser.take(";"):
         pass
     if parser.peek().kind != "end":
         raise UnsupportedSyntax(f"trailing tokens near {parser.peek().text!r}")

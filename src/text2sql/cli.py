@@ -19,7 +19,7 @@ from .backend import (
     HttpBackend,
     ScriptedBackend,
 )
-from .codec import decoder, encode
+from .codec import encode
 from .datasets import (
     DatabaseRegistry,
     MalformedItem,
@@ -281,9 +281,16 @@ def _load_predictions(path: str) -> dict[str, str]:
     if not text.strip():
         raise click.UsageError("predictions file is empty")
     try:
-        return decoder(dict[str, str])(json.loads(text))
-    except (TypeError, ValueError):  # not a task_id -> SQL object: read it as a journal
-        pass
+        data = json.loads(text)
+    except ValueError:  # a journal of several lines
+        data = None
+    # a journal line is an object too, but its "task" is an object
+    if isinstance(data, dict) and not isinstance(data.get("task"), dict):
+        for task_id, sql in data.items():
+            if not isinstance(sql, str):
+                raise click.UsageError(f"predictions file: task {task_id!r}: "
+                                       f"expected SQL text, got {json.dumps(sql)}")
+        return data
     predictions = {task_id: state.final_sql
                    for task_id, state in Journal(path).load().items()}
     if not predictions:

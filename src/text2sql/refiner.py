@@ -72,13 +72,12 @@ def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
         raise ValueError("max_rounds must be >= 1")
     attempts: list[RefineAttempt] = []
     sql = initial_sql
-    corrections = 0
     while True:
         rnd = len(attempts) + 1
         start = clock()
         outcome = execute_sql(db_path, sql, timeout=timeout)
         summary = OutcomeSummary.from_outcome(outcome, clock() - start)
-        if outcome.status is ExecStatus.OK or corrections >= max_rounds:
+        if outcome.status is ExecStatus.OK or rnd > max_rounds:
             attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary))
             return sql, attempts
         request = build_refiner_prompt(question, evidence, schema_text, fk_text,
@@ -89,4 +88,3 @@ def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
         if corrected is None:
             return sql, attempts
         sql = corrected
-        corrections += 1

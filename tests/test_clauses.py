@@ -91,6 +91,87 @@ class TestBasics:
         assert aliased == direct
 
 
+class TestGrammarBranches:
+    """One case for each branch of the grammar that no other test parses."""
+
+    def test_prefix_not(self):
+        cs = parse_to_clause_set("SELECT a FROM t WHERE NOT a = 1")
+        assert cs.where_predicates == frozenset({"not t.a = <value>"})
+
+    def test_is_expression(self):
+        cs = parse_to_clause_set("SELECT a FROM t WHERE a IS NOT b")
+        assert cs.where_predicates == frozenset({"t.a is not t.b"})
+
+    def test_limit_offset_spellings(self):
+        offset = parse_to_clause_set("SELECT a FROM t LIMIT 5 OFFSET 10")
+        comma = parse_to_clause_set("SELECT a FROM t LIMIT 10, 5")
+        assert offset.limit == f"{VALUE} offset {VALUE}"
+        assert comma == offset
+
+    def test_true_false_are_values(self):
+        cs = parse_to_clause_set("SELECT a FROM t WHERE b = TRUE AND c = false")
+        assert cs.where_predicates == frozenset({"t.b = <value>", "t.c = <value>"})
+
+    def test_unary_plus_dropped(self):
+        assert parse_to_clause_set("SELECT +a FROM t") == parse_to_clause_set("SELECT a FROM t")
+
+    def test_case_with_operand(self):
+        cs = parse_to_clause_set("SELECT CASE x WHEN 1 THEN 'a' END FROM t")
+        assert cs.select_items == frozenset({"case t.x when <value> then <value> end"})
+
+    def test_star_through_alias(self):
+        cs = parse_to_clause_set("SELECT x.* FROM t AS x JOIN u ON x.i = u.i")
+        assert cs.select_items == frozenset({"t.*"})
+
+    def test_comma_join(self):
+        cs = parse_to_clause_set("SELECT t.a FROM t, u AS v WHERE t.i = v.i")
+        assert cs.from_tables == frozenset({"t", "u"})
+        assert cs.where_predicates == frozenset({"t.i = u.i"})
+
+    def test_left_outer_join(self):
+        outer = parse_to_clause_set("SELECT t.a FROM t LEFT OUTER JOIN u ON t.i = u.i")
+        assert outer == parse_to_clause_set("SELECT t.a FROM t LEFT JOIN u ON t.i = u.i")
+        assert outer.join_conditions == frozenset({"t.i = u.i"})
+
+    def test_group_by_two_keys(self):
+        cs = parse_to_clause_set("SELECT a, COUNT(*) FROM t GROUP BY a, b")
+        assert cs.group_by == frozenset({"t.a", "t.b"})
+
+
+class TestPrecedence:
+    """EM compares what a query says; the round trips are in TestIdempotence."""
+
+    SUBQUERY = "SELECT x FROM t WHERE a IN (SELECT y FROM u WHERE {})"
+
+    def test_or_conjunct_keeps_its_parentheses(self):
+        cs = parse_to_clause_set("SELECT a FROM t WHERE (a = 1 OR b = 2) AND c = 3")
+        assert cs.where_predicates == frozenset(
+            {"(t.a = <value> or t.b = <value>)", "t.c = <value>"})
+
+    def test_and_or_grouping_in_a_subquery_differs(self):
+        assert exact_match(self.SUBQUERY.format("(p = 1 OR q = 2) AND r = 3"),
+                           self.SUBQUERY.format("p = 1 OR (q = 2 AND r = 3)")) is False
+
+    @pytest.mark.parametrize("pred,gold", [
+        ("c = (a < b)", "(a < b) = c"),
+        ("(a = 1) = (b = 2)", "(b = 2) = (a = 1)"),
+    ])
+    def test_nested_comparison_operands_commute(self, pred, gold):
+        assert exact_match(f"SELECT x FROM t WHERE {pred}",
+                           f"SELECT x FROM t WHERE {gold}") is True
+
+    def test_exists_is_an_operand(self):
+        assert exact_match("SELECT 1 + EXISTS (SELECT 1)", "SELECT 2 + EXISTS (SELECT 3)") is True
+
+    def test_double_negation_is_no_comment(self):
+        cs = parse_to_clause_set("SELECT a FROM t WHERE -(-x) > 1")
+        assert cs.where_predicates == frozenset({"<value> < -(-t.x)"})
+
+    def test_having_number_is_a_value(self):
+        assert exact_match("SELECT a, b FROM t GROUP BY a HAVING 1",
+                           "SELECT a, b FROM t GROUP BY a HAVING 2") is True
+
+
 class TestJoins:
     def test_join_condition_operand_order(self):
         a = parse_to_clause_set("SELECT x.a FROM t AS x JOIN u AS y ON x.id = y.id")
@@ -234,6 +315,10 @@ class TestUnsupported:
         "INSERT INTO t VALUES (1)",
         "SELECT a FROM t WHERE x GLOB 'a*'",
         "SELECT a FROM t; SELECT b FROM u",
+        "SELECT a FROM t WHERE a LIKE 'x!%' ESCAPE '!'",
+        "SELECT a FROM t WHERE x > NOT (y)",
+        "SELECT a FROM t WHERE a = b = c",
+        "SELECT *, a FROM t ORDER BY 2",  # column 2 is the second column of t, not a
     ])
     def test_raises(self, sql):
         with pytest.raises(UnsupportedSyntax):
@@ -254,6 +339,18 @@ class TestIdempotence:
         "SELECT v FROM (SELECT v FROM t WHERE v > 2) AS sub WHERE v < 10",
         "SELECT `Charter School (Y/N)` FROM frpm WHERE `Charter School (Y/N)` = 1",
         "SELECT sname FROM satscores WHERE NumGE1500 IN (1, 2, 3) AND sname NOT LIKE 'x%'",
+        # parentheses the canonical text must keep
+        "SELECT a FROM t WHERE (a = 1 OR b = 2) AND c = 3",
+        "SELECT a FROM t WHERE (a <> 1) <= 2",
+        "SELECT a FROM t WHERE (a = 1) IS NULL",
+        "SELECT a FROM t WHERE (a = 1) IN (1, 2)",
+        "SELECT a FROM t WHERE (a = 1) NOT BETWEEN 0 AND 1",
+        "SELECT a FROM t WHERE (EXISTS (SELECT 1 FROM u)) > 1",
+        "SELECT a FROM t WHERE -(-x) > 1",
+        "SELECT left, full, end FROM t WHERE end > 1",
+        "SELECT * FROM t GROUP BY a HAVING 1",
+        "SELECT x FROM t, u UNION SELECT a FROM v ORDER BY x",
+        "SELECT s.a FROM (SELECT a FROM u) AS s WHERE EXISTS (SELECT 1 FROM t WHERE t.b = s.a)",
     ]
 
     @pytest.mark.parametrize("sql", CASES)
@@ -411,5 +508,103 @@ class TestGeneratedIdempotence:
     @given(generated_sql())
     def test_roundtrip(self, sql):
         cs = parse_to_clause_set(sql)
+        rendered = render_sql(cs)
+        assert parse_to_clause_set(rendered) == cs, (sql, rendered)
+
+
+# Strategies are built once: building one per draw costs more than the draw.
+_OPERATORS = st.sampled_from([
+    "OR", "AND", "=", "==", "<>", "!=", "<", "<=", ">", ">=", "IS", "IS NOT",
+    "LIKE", "NOT LIKE", "+", "-", "*", "/", "%", "||"])
+_ATOMS = st.sampled_from(
+    ["a", "b", "t.a", "x.b", "s.a", "n", "7", "2.5", "'s'", "NULL", "TRUE", "`c d`"])
+_FORMS = st.integers(-9, 14)
+_NOT = st.sampled_from(["", "NOT "])
+_SIGN = st.sampled_from(["-", "+"])
+_CALL = st.sampled_from(["max({})", "count(DISTINCT {})", "count(*)"])
+_ITEM = st.sampled_from(["*", "{}", "{} AS n"])
+_SOURCE = st.sampled_from(["t", "t AS x", "u x", "t, u AS x", "(SELECT a, b FROM u) AS s"])
+_SET_OP = st.sampled_from(["UNION", "UNION ALL", "INTERSECT", "EXCEPT"])
+
+
+@st.composite
+def _grammar_expr(draw, depth):
+    form = draw(_FORMS) if depth else -1
+    if form < 0:
+        return draw(_ATOMS)
+    e = lambda: draw(_GRAMMAR_EXPRS[depth - 1])  # noqa: E731
+    query = lambda: f"SELECT {e()} FROM u WHERE {e()}"  # noqa: E731
+    if form <= 3:
+        text = f"{e()} {draw(_OPERATORS)} {e()}"
+    elif form == 4:
+        text = f"NOT {e()}"
+    elif form == 5:
+        text = f"{draw(_SIGN)} {e()}"
+    elif form == 6:
+        text = f"{e()} IS {draw(_NOT)}NULL"
+    elif form == 7:
+        text = f"{e()} {draw(_NOT)}IN ({e()}, {e()})"
+    elif form == 8:
+        text = f"{e()} {draw(_NOT)}IN ({query()})"
+    elif form == 9:
+        text = f"{e()} {draw(_NOT)}BETWEEN {e()} AND {e()}"
+    elif form == 10:
+        operand = f"{e()} " if draw(st.booleans()) else ""
+        default = f" ELSE {e()}" if draw(st.booleans()) else ""
+        text = f"CASE {operand}WHEN {e()} THEN {e()}{default} END"
+    elif form == 11:
+        text = f"CAST({e()} AS INTEGER)"
+    elif form == 12:
+        text = f"EXISTS ({query()})"
+    elif form == 13:
+        text = f"({query()})"
+    else:
+        text = draw(_CALL).format(e())
+    return f"({text})" if draw(st.booleans()) else text
+
+
+# Expressions built from every operator and form of the EM grammar, by depth.
+# Operands are parenthesized at random, so some draws chain comparisons or put
+# NOT under an operator, and fall outside the grammar.
+_GRAMMAR_EXPRS = [_grammar_expr(depth) for depth in range(3)]
+
+
+@st.composite
+def grammar_query(draw):
+    """One or two cores over tables t and u, aliases, and a FROM subquery."""
+    e = lambda: draw(_GRAMMAR_EXPRS[2])  # noqa: E731
+
+    def core():
+        items = [draw(_ITEM).format(e()) for _ in range(draw(st.integers(1, 2)))]
+        sql = (f"SELECT {draw(st.sampled_from(['', 'DISTINCT ']))}{', '.join(items)}"
+               f" FROM {draw(_SOURCE)}")
+        if draw(st.booleans()):
+            sql += f" JOIN u ON {e()}"
+        if draw(st.booleans()):
+            sql += f" WHERE {e()}"
+        if draw(st.booleans()):
+            sql += f" GROUP BY {e()}, b"
+            if draw(st.booleans()):
+                sql += f" HAVING {e()}"
+        return sql
+
+    sql = core()
+    if draw(st.booleans()):
+        sql += f" {draw(_SET_OP)} {core()}"
+    if draw(st.booleans()):
+        sql += f" ORDER BY {e()}{draw(st.sampled_from(['', ' ASC', ' DESC']))}, 1"
+    if draw(st.booleans()):
+        sql += " LIMIT 3" + draw(st.sampled_from(["", " OFFSET 2", ", 4"]))
+    return sql
+
+
+class TestGrammarRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_query())
+    def test_canonical_text_parses_back(self, sql):
+        try:
+            cs = parse_to_clause_set(sql)
+        except UnsupportedSyntax:
+            return
         rendered = render_sql(cs)
         assert parse_to_clause_set(rendered) == cs, (sql, rendered)

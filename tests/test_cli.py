@@ -348,6 +348,19 @@ class TestEval:
         ])
         assert result.exit_code == 2
 
+    def test_non_string_prediction_names_its_task(self, runner, tmp_path, shop_db,
+                                                   library_db):
+        root, items_path, _ = self.write_benchmark(tmp_path, shop_db, library_db)
+        pred_path = tmp_path / "preds.json"
+        pred_path.write_text(json.dumps({"0": "SELECT 1", "1": None}), encoding="utf-8")
+        result = runner.invoke(main, [
+            "eval", "--predictions", str(pred_path), "--benchmark", "bird",
+            "--items", str(items_path), "--db-root", str(root),
+        ])
+        assert result.exit_code == 2
+        assert "predictions file: task '1': expected SQL text, got null" in result.output
+        assert "Traceback" not in result.output
+
     def test_journal_as_predictions(self, runner, banking_bird_root, bird_items_file,
                                     script_config, tmp_path):
         journal = tmp_path / "journal.jsonl"
