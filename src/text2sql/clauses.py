@@ -517,13 +517,15 @@ class _Scope:
 
 
 def _canon_query(raw: _RawQuery, parent: Optional[_Scope]) -> ClauseSet:
-    first, scope, items, out_aliases = _canon_select(raw.selects[0], parent)
-    cores = [first] + [_canon_select(core, parent)[0] for core in raw.selects[1:]]
-
-    order_terms = tuple(
-        f"{_resolve_output_term(expr, scope, out_aliases, items)[0]} {direction}"
-        for expr, direction in raw.order
-    )
+    cores = [_canon_select(core, parent) for core in raw.selects]
+    first, scope, items, out_aliases = cores[0]
+    if len(cores) == 1:
+        order_terms = tuple(
+            f"{_resolve_output_term(expr, scope, out_aliases, items)[0]} {direction}"
+            for expr, direction in raw.order)
+    else:
+        order_terms = tuple(f"{_compound_position(expr, raw.selects, cores)} {direction}"
+                            for expr, direction in raw.order)
     limit = None
     if raw.limit is not None:
         limit_expr, offset_expr = raw.limit
@@ -535,12 +537,34 @@ def _canon_query(raw: _RawQuery, parent: Optional[_Scope]) -> ClauseSet:
         return replace(first, order_by=order_terms, limit=limit)
 
     ops = tuple(raw.ops)
-    children = tuple(cores)
-    uniform = len(set(ops)) == 1 and ops[0] in ("union", "union all", "intersect")
-    # an ORDER BY names columns of the first core, which then keeps its place
-    if uniform and not order_terms:
+    children = tuple(cs for cs, *_ in cores)
+    # an ORDER BY names result columns by position, so the cores' order is free
+    if len(set(ops)) == 1 and ops[0] in ("union", "union all", "intersect"):
         children = tuple(sorted(children, key=render_clause_set))
     return ClauseSet(set_ops=ops, children=children, order_by=order_terms, limit=limit)
+
+
+def _compound_position(expr, raw_cores: list[_RawSelect], cores: list) -> str:
+    """A compound's ORDER BY term as the 1-based result column it names.
+
+    As SQLite resolves it: an integer is a position as written; any other
+    term names the first column, searching the cores from left to right, that
+    has it as its output alias or whose item has the term's canonical text.
+    """
+    if expr[0] == "number" and expr[1].isdigit():
+        return str(int(expr[1]))
+    name = _lower(expr[2].text) if expr[0] == "col" and expr[1] is None else None
+    for raw_core, (_, scope, items, _) in zip(raw_cores, cores):
+        aliases = [alias and _lower(alias.text) for _, alias in raw_core.items]
+        texts = [item for item, _ in items]
+        text = _canon_expr(expr, scope)[0]
+        pos = (aliases.index(name) if name is not None and name in aliases
+               else texts.index(text) if text in texts else None)
+        if pos is not None:
+            if any(t == "*" or t.endswith(".*") for t in texts[:pos]):
+                raise UnsupportedSyntax("a column after * has no known position")
+            return str(pos + 1)
+    raise UnsupportedSyntax("an ORDER BY term of a compound matches no result column")
 
 
 def _canon_select(core: _RawSelect, parent: Optional[_Scope]):

@@ -28,7 +28,8 @@ from .datasets import (
     load_benchmark,
     load_column_descriptions,
 )
-from .evaluation import build_report, exec_match, score_item
+# exec_match has no caller here: it stays as cli.exec_match for the benchmark's tracer
+from .evaluation import build_report, exec_match, score_item  # noqa: F401
 from .execution import execute_sql
 from .pipeline import (
     Journal,
@@ -36,7 +37,7 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     export_instruction_data,
-    recorded_ex,
+    scored_ex,
 )
 
 ENV_PREFIX = "TEXT2SQL_"
@@ -206,7 +207,9 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
 
     rows = None
     if execute_flag and state.final_sql:
-        outcome = execute_sql(db_path, state.final_sql, timeout=settings["timeout"])
+        # the refiner's own run of the final SQL; none when its backend failed
+        outcome = state.outcome or execute_sql(db_path, state.final_sql,
+                                               timeout=settings["timeout"])
         rows = [list(r) for r in outcome.rows] if outcome.rows is not None else None
 
     if json_output:
@@ -251,19 +254,13 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
 
     states = pipe.run_batch(tasks, journal_path=journal_path, progress=progress)
 
-    def ex_of(task, state) -> bool:
-        db_path = bench.registry().path(task.db_id)
-        ex = recorded_ex(state, db_path, task.gold_sql)
-        if ex is None:  # no verdict that still holds: score it here
-            ex = exec_match(state.final_sql, task.gold_sql, db_path,
-                            timeout=settings["timeout"])
-        return ex
-
     # the states come back in task order; each is scored against the gold in --items
     with_gold = [(t, s) for t, s in zip(tasks, states) if t.gold_sql]
     summary = {"n": len(states), "journal": journal_path, "ex_pct": None}
     if with_gold:
-        summary["ex_pct"] = 100.0 * sum(ex_of(t, s) for t, s in with_gold) / len(with_gold)
+        summary["ex_pct"] = 100.0 * sum(
+            scored_ex(s, bench.registry().path(t.db_id), t.gold_sql, settings["timeout"])
+            for t, s in with_gold) / len(with_gold)
     if json_output:
         click.echo(json.dumps(summary, sort_keys=True))
     elif summary["ex_pct"] is not None:

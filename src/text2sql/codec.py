@@ -16,7 +16,8 @@ from typing import Callable
 
 @functools.cache
 def _field_names(tp) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(tp))
+    """The fields a record is written and read with: an ``init=False`` field is neither."""
+    return tuple(f.name for f in dataclasses.fields(tp) if f.init)
 
 
 def encode(obj) -> dict:
@@ -43,7 +44,7 @@ def decoder(tp) -> Callable:
     """
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        parts = [(f.name, decoder(hints[f.name])) for f in dataclasses.fields(tp)]
+        parts = [(name, decoder(hints[name])) for name in _field_names(tp)]
 
         def record(value):
             _expect(value, dict)

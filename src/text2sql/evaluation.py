@@ -50,11 +50,6 @@ class ItemScore:
             raise ValueError("error_class must be NONE exactly when ex is true")
 
 
-def _run_both(pred_sql: str, gold_sql: str, db_path: str, timeout: float):
-    gold_out = execute_sql(db_path, gold_sql, timeout=timeout)
-    return execute_sql(db_path, pred_sql, timeout=timeout), gold_out
-
-
 def _normalize_value(value) -> tuple:
     """(kind, sort key, value) of one cell; rows are sorted by kind and key alone.
 
@@ -114,25 +109,41 @@ def rows_equal(a: Iterable[Sequence], b: Iterable[Sequence],
                                _normalize_rows(b, order_sensitive)))
 
 
-def _results_match(pred_out: ExecutionOutcome, gold_out: ExecutionOutcome,
-                   gold_sql: str) -> bool:
-    return (gold_out.status is ExecStatus.OK and pred_out.status is ExecStatus.OK
-            and rows_equal(pred_out.rows, gold_out.rows,
-                           order_sensitive=has_top_level_order_by(gold_sql)))
+def judge(pred: ExecutionOutcome, gold: ExecutionOutcome, gold_sql: str) -> ErrorClass:
+    """The one EX rule: the prediction's error class, ``NONE`` when it matches the gold.
+
+    A gold that does not return rows is ``GOLD_ERROR``. Two results match
+    when ``rows_equal`` holds, ordered only when the gold query has a
+    top-level ORDER BY.
+    """
+    if gold.status is not ExecStatus.OK:
+        return ErrorClass.GOLD_ERROR
+    if pred.status is ExecStatus.OK:
+        same = rows_equal(pred.rows, gold.rows, order_sensitive=has_top_level_order_by(gold_sql))
+        return ErrorClass.NONE if same else ErrorClass.WRONG_RESULT
+    if pred.status is ExecStatus.SCHEMA_ERROR:
+        return ErrorClass.SCHEMA_LINKING_ERROR
+    if pred.status is ExecStatus.EMPTY_RESULT:
+        return ErrorClass.EMPTY_RESULT
+    return ErrorClass.EXECUTION_ERROR  # syntax, timeout, denied or other
+
+
+def outcome_matches(pred: ExecutionOutcome, gold_sql: str, db_path: str,
+                    timeout: float = DEFAULT_TIMEOUT) -> bool:
+    """EX of a prediction whose outcome is already taken: only the gold runs."""
+    return judge(pred, execute_sql(db_path, gold_sql, timeout=timeout), gold_sql) is ErrorClass.NONE
 
 
 def exec_match(pred_sql: str, gold_sql: str, db_path: str,
                timeout: float = DEFAULT_TIMEOUT) -> bool:
-    """True iff both queries execute and return identical normalized result sets.
+    """True iff both queries execute and ``judge`` finds the results equal.
 
     An empty or blank prediction is a miss, and neither query runs.
-    Comparison is an unordered multiset unless the gold query has a top-level
-    ORDER BY.
     """
     if not pred_sql or not pred_sql.strip():
         return False
-    pred_out, gold_out = _run_both(pred_sql, gold_sql, db_path, timeout)
-    return _results_match(pred_out, gold_out, gold_sql)
+    return outcome_matches(execute_sql(db_path, pred_sql, timeout=timeout),
+                           gold_sql, db_path, timeout)
 
 
 def _default_run_timer(db_path: str, sql: str) -> float:
@@ -165,7 +176,7 @@ class ExVerdict:
     """EX of a state's final SQL against its own gold, and the database it ran on.
 
     ``db_stamp`` is ``execution.db_stamp`` of the database file, taken before the
-    queries ran; the verdict holds while the file has it and the gold is unchanged.
+    question ran; the verdict holds while the file has it and the gold is unchanged.
     """
 
     ex: bool
@@ -186,30 +197,14 @@ def exact_match(pred_sql: str, gold_sql: str) -> Optional[bool]:
     return pred == gold
 
 
-def classify_error(pred_outcome: ExecutionOutcome, gold_outcome: ExecutionOutcome,
-                   ex: bool) -> ErrorClass:
-    """Machine-checkable failure taxonomy for one scored item."""
-    if ex:
-        return ErrorClass.NONE
-    if gold_outcome.status is not ExecStatus.OK:
-        return ErrorClass.GOLD_ERROR
-    if pred_outcome.status is ExecStatus.SCHEMA_ERROR:
-        return ErrorClass.SCHEMA_LINKING_ERROR
-    if pred_outcome.status in (ExecStatus.SYNTAX_ERROR, ExecStatus.TIMEOUT,
-                               ExecStatus.DENIED, ExecStatus.OTHER_ERROR):
-        return ErrorClass.EXECUTION_ERROR
-    if pred_outcome.status is ExecStatus.EMPTY_RESULT:
-        return ErrorClass.EMPTY_RESULT
-    return ErrorClass.WRONG_RESULT
-
-
 def score_item(task_id: str, pred_sql: str, gold_sql: str, db_path: str,
                timeout: float = DEFAULT_TIMEOUT, difficulty: str = "unlabeled",
                with_ves: bool = True, run_timer: Optional[RunTimer] = None) -> ItemScore:
-    pred_out, gold_out = _run_both(pred_sql, gold_sql, db_path, timeout)
-    ex = _results_match(pred_out, gold_out, gold_sql)
+    gold_out = execute_sql(db_path, gold_sql, timeout=timeout)
+    pred_out = execute_sql(db_path, pred_sql, timeout=timeout)
+    error_class = judge(pred_out, gold_out, gold_sql)
+    ex = error_class is ErrorClass.NONE
     em = exact_match(pred_sql, gold_sql) if pred_sql.strip() else False
-    error_class = classify_error(pred_out, gold_out, ex)
     ratio = None
     if ex:
         ratio = (ves_ratio(pred_sql, gold_sql, db_path, run_timer=run_timer)

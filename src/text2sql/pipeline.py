@@ -14,15 +14,15 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .backend import BackendUnavailable, ChatResponse
 from .codec import decoder, encode
-from .datasets import DatabaseRegistry, Task
+from .datasets import DatabaseRegistry, MissingDatabase, Task
 from .decomposer import (
     DecompositionStep,
     NoSqlFound,
     build_decomposer_prompt,
     parse_decomposition,
 )
-from .evaluation import ExVerdict, exec_match
-from .execution import DEFAULT_TIMEOUT, db_stamp
+from .evaluation import ExVerdict, exec_match, outcome_matches
+from .execution import DEFAULT_TIMEOUT, ExecutionOutcome, db_stamp
 from .refiner import MAX_ROUNDS, RefineAttempt, refine_loop
 from .schema import render_foreign_keys, render_schema_description, render_table_blocks
 from .selector import (
@@ -90,18 +90,23 @@ class PipelineState:
     error: Optional[str] = None
     elapsed: float = 0.0
     ex_verdict: Optional[ExVerdict] = None
+    # The refiner's outcome of final_sql, for scoring and ``ask --execute``. It
+    # is not init, so the codec never writes its rows to a journal or a trace.
+    outcome: Optional[ExecutionOutcome] = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
 
-def recorded_ex(state: PipelineState, db_path: str, gold: str) -> Optional[bool]:
-    """The state's journaled EX while it still holds against ``gold``, else None.
+def scored_ex(state: PipelineState, db_path: str, gold: str,
+              timeout: float = DEFAULT_TIMEOUT) -> bool:
+    """The EX of the state's final SQL against ``gold``: journaled while it holds, else scored now.
 
     A verdict was scored against the state's own gold SQL, so it holds while
     that gold equals ``gold`` and the database file keeps the stamp it had.
     """
     verdict = state.ex_verdict
-    if verdict is None or state.task.gold_sql != gold or verdict.db_stamp != db_stamp(db_path):
-        return None
-    return verdict.ex
+    if verdict is not None and state.task.gold_sql == gold and verdict.db_stamp == db_stamp(db_path):
+        return verdict.ex
+    return exec_match(state.final_sql, gold, db_path, timeout=timeout)
 
 
 class Pipeline:
@@ -160,7 +165,7 @@ class Pipeline:
             state.steps = list(decomposition.steps)
 
             try:
-                final_sql, attempts = refine_loop(
+                state.final_sql, state.refine_attempts, state.outcome = refine_loop(
                     lambda request: self._complete(REFINER, request, state.llm_calls),
                     db_path, task.question, task.evidence,
                     desc_str, fk_str, decomposition.final_sql,
@@ -169,9 +174,6 @@ class Pipeline:
             except BackendUnavailable as exc:
                 state.error = f"refiner backend failure: {exc}"
                 state.final_sql = decomposition.final_sql
-            else:
-                state.refine_attempts = attempts
-                state.final_sql = final_sql
         except NoSqlFound as exc:
             state.error = f"decomposer produced no SQL: {exc}"
         except BackendUnavailable as exc:
@@ -185,16 +187,25 @@ class Pipeline:
     def _run_and_score(self, task: Task) -> PipelineState:
         """``run_question``, then the EX verdict of its final SQL when the task has gold.
 
-        The scoring runs on the worker but outside the question's own time.
+        The verdict judges the refiner's outcome of the final SQL and runs only
+        the gold, or both when there is none. The stamp is taken before the
+        question, so it predates every execution the verdict rests on. Scoring
+        runs on the worker but outside the question's own time.
         """
+        gold = task.gold_sql
+        try:
+            db_path = self.registry.path(task.db_id)
+        except MissingDatabase:  # run_question records it
+            db_path = None
+        stamp = db_stamp(db_path) if gold and db_path else None  # None: the file is gone
         state = self.run_question(task)
-        if task.gold_sql:
+        outcome, state.outcome = state.outcome, None  # no state keeps rows past here
+        if stamp is not None:
             try:
-                db_path = self.registry.path(task.db_id)
-                stamp = db_stamp(db_path)  # taken before the queries run
-                if stamp is not None:  # None: the file is gone
-                    state.ex_verdict = ExVerdict(exec_match(
-                        state.final_sql, task.gold_sql, db_path, self.config.timeout), stamp)
+                ex = (exec_match(state.final_sql, gold, db_path, self.config.timeout)
+                      if outcome is None else
+                      outcome_matches(outcome, gold, db_path, self.config.timeout))
+                state.ex_verdict = ExVerdict(ex, stamp)
             except Exception:  # no verdict: the readers score the state themselves
                 logger.exception("scoring task %s failed", task.task_id)
         return state
@@ -211,9 +222,10 @@ class Pipeline:
         (``RETRIED_ERRORS``); their new state is appended after the old one.
         """
         journal = Journal(journal_path) if journal_path else None
+        batch = {t.task_id for t in tasks}
         done = {task_id: state
                 for task_id, state in (journal.load() if journal else {}).items()
-                if not (state.error or "").startswith(RETRIED_ERRORS)}
+                if task_id in batch and not (state.error or "").startswith(RETRIED_ERRORS)}
 
         pending = [t for t in tasks if t.task_id not in done]
         results: dict[str, PipelineState] = dict(done)
@@ -296,10 +308,9 @@ def export_instruction_data(states: Iterable[PipelineState],
                             timeout: float = DEFAULT_TIMEOUT) -> list[InstructionRecord]:
     """One record per agent call, for states whose final SQL execution-matches gold.
 
-    The gold is ``gold_lookup``'s, else the journaled task's. A journaled verdict
-    is used while it holds against that gold (``recorded_ex``); any other state
-    runs its final and gold SQL again. Raises MissingGold when a state has no
-    gold query to filter against.
+    The gold is ``gold_lookup``'s, else the journaled task's, and the filter is
+    ``scored_ex`` against it. Raises MissingGold when a state has no gold query
+    to filter against.
     """
     records: list[InstructionRecord] = []
     for state in states:
@@ -309,11 +320,7 @@ def export_instruction_data(states: Iterable[PipelineState],
             raise MissingGold(f"no gold SQL for task {task.task_id}")
         if not state.final_sql:
             continue
-        db_path = registry.path(task.db_id)
-        ex = recorded_ex(state, db_path, gold)
-        if ex is None:
-            ex = exec_match(state.final_sql, gold, db_path, timeout=timeout)
-        if not ex:
+        if not scored_ex(state, registry.path(task.db_id), gold, timeout):
             continue
         for call in state.llm_calls:
             records.append(InstructionRecord(

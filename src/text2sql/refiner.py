@@ -59,14 +59,14 @@ def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
                 schema_text: str, fk_text: str, initial_sql: str,
                 max_rounds: int = MAX_ROUNDS, timeout: float = DEFAULT_TIMEOUT,
                 clock: Callable[[], float] = time.monotonic
-                ) -> tuple[str, list[RefineAttempt]]:
+                ) -> tuple[str, list[RefineAttempt], ExecutionOutcome]:
     """Execute, and while faulty, ask for corrections up to ``max_rounds`` times.
 
     Every outcome except OK with rows calls for a correction, which
     ``complete`` is asked for. Returns the last candidate SQL whether or not it
-    ultimately succeeded. A response from which no correction can be parsed
-    ends the loop with the prior candidate. BackendUnavailable propagates to
-    the caller.
+    ultimately succeeded, the attempts, and the outcome of the candidate's run.
+    A response from which no correction can be parsed ends the loop with the
+    prior candidate. BackendUnavailable propagates to the caller.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -79,12 +79,12 @@ def refine_loop(complete: Callable[[ChatRequest], ChatResponse],
         summary = OutcomeSummary.from_outcome(outcome, clock() - start)
         if outcome.status is ExecStatus.OK or rnd > max_rounds:
             attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary))
-            return sql, attempts
+            return sql, attempts, outcome
         request = build_refiner_prompt(question, evidence, schema_text, fk_text,
                                        sql, outcome)
         corrected = extract_last_sql(complete(request).text)
         attempts.append(RefineAttempt(round=rnd, input_sql=sql, outcome=summary,
                                       corrected_sql=corrected))
         if corrected is None:
-            return sql, attempts
+            return sql, attempts, outcome
         sql = corrected

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from metric_fixture import METRIC_ITEMS
 
-from text2sql import datasets, evaluation, refiner
+from text2sql import cli, datasets, evaluation, refiner
 from text2sql.backend import DEFAULT_MAX_OUTPUT_TOKENS
 from text2sql.cli import build_backend, main, resolve_settings
 from text2sql.codec import encode
@@ -85,6 +85,37 @@ class TestAsk:
         ])
         assert result.exit_code == 0
         assert result.output.rstrip("\n").endswith("F")
+
+    def ask_execute(self, runner, monkeypatch, args):
+        """The rows ``ask --execute --json`` prints, and the SQL of each execute_sql call."""
+        runs = []
+        for module in (cli, refiner, evaluation):
+            monkeypatch.setattr(module, "execute_sql", lambda *a, run=module.execute_sql, **kw:
+                                runs.append(a[1]) or run(*a, **kw))
+        result = runner.invoke(main, ["ask", "--execute", "--json", *args])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stdout)["rows"], runs
+
+    def test_execute_prints_the_refiners_run(self, runner, banking_db_file, script_config,
+                                             monkeypatch):
+        rows, runs = self.ask_execute(runner, monkeypatch, [
+            "--db", banking_db_file, "--question", QUESTION, "--evidence", EVIDENCE,
+            "--config", script_config])
+        assert rows == [["F"]]
+        assert runs == [FINAL_GENDER_SQL]  # the refiner's run; nothing runs again
+
+    def test_execute_after_a_refiner_failure_runs_the_sql(self, runner, banking_db_file,
+                                                          tmp_path, monkeypatch):
+        # an empty result calls the refiner, whose script has no reply
+        empty = "SELECT gender FROM client WHERE gender = 'Q'"
+        script = tmp_path / "script.txt"
+        script.write_text("### MATCH: decompose the question into subquestions\n"
+                          f"```sql\n{empty}\n```\n", encoding="utf-8")
+        rows, runs = self.ask_execute(runner, monkeypatch, [
+            "--db", banking_db_file, "--question", "q", "--backend", "script",
+            "--script", str(script)])
+        assert rows == []
+        assert runs == [empty, empty]
 
     def test_trace_carries_pruning_decision(self, runner, banking_db_file,
                                             script_config, tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+from typing import Optional
 
 import pytest
 
@@ -145,3 +147,17 @@ def test_decoder_refuses_a_bool_for_a_number():
             decoder(tp)(True)
     assert decoder(float)(1) == 1
     assert decoder(bool)(False) is False
+
+
+@dataclasses.dataclass
+class _Cached:
+    kept: int
+    cache: Optional[list] = dataclasses.field(default=None, init=False)
+
+
+def test_a_field_outside_init_is_neither_written_nor_read():
+    record = _Cached(1)
+    record.cache = [2]
+    assert json.loads(json.dumps(record, default=encode)) == {"kept": 1}
+    read = decoder(_Cached)({"kept": 1, "cache": [3]})
+    assert (read.kept, read.cache) == (1, None)

@@ -12,9 +12,9 @@ from text2sql.evaluation import (
     ErrorClass,
     ItemScore,
     build_report,
-    classify_error,
     exact_match,
     exec_match,
+    judge,
     score_item,
     ves_ratio,
 )
@@ -125,6 +125,18 @@ class TestExactMatch:
          "SELECT t.a FROM t JOIN u ON u.i = t.i", True),
         ("SELECT a FROM t WHERE x != 1", "SELECT a FROM t WHERE x <> 5", True),
         ("SELECT a FROM t LIMIT 1", "SELECT a FROM t LIMIT 99", True),
+        # a compound's ORDER BY names a result column, whichever core comes first
+        ("SELECT a FROM t UNION SELECT b FROM u ORDER BY 1",
+         "SELECT b FROM u UNION SELECT a FROM t ORDER BY 1", True),
+        ("SELECT a FROM t UNION SELECT b FROM u ORDER BY a",
+         "SELECT b FROM u UNION SELECT a FROM t ORDER BY b", True),
+        ("SELECT a, COUNT(*) FROM t GROUP BY a UNION SELECT b, y FROM u ORDER BY COUNT(*)",
+         "SELECT a, COUNT(*) FROM t GROUP BY a UNION SELECT b, y FROM u ORDER BY 2", True),
+        ("SELECT a, x FROM t UNION SELECT b, y FROM u ORDER BY x",
+         "SELECT a, x FROM t UNION SELECT b, y FROM u ORDER BY a", False),
+        # SQLite refuses a term that names no result column
+        ("SELECT a FROM t UNION SELECT b FROM u ORDER BY c",
+         "SELECT a FROM t UNION SELECT b FROM u ORDER BY c", None),
     ]
 
     @pytest.mark.parametrize("pred,gold,expected", PAIRS)
@@ -143,7 +155,32 @@ class TestExactMatch:
         assert score.em is None or isinstance(score.em, bool)
 
 
+def _outcome(status: ExecStatus, rows=((1,),)) -> ExecutionOutcome:
+    if status is ExecStatus.OK:
+        return ExecutionOutcome(status, rows=rows)
+    if status is ExecStatus.EMPTY_RESULT:
+        return ExecutionOutcome(status, rows=())
+    return ExecutionOutcome(status, error_message="failed")
+
+
+# Each prediction against a gold that returned ((1,),), with the class it gets;
+# against any other gold outcome every prediction is a GOLD_ERROR.
+_AGAINST_OK_GOLD = [
+    ("OK-equal", _outcome(ExecStatus.OK), ErrorClass.NONE),
+    ("OK-unequal", _outcome(ExecStatus.OK, rows=((2,),)), ErrorClass.WRONG_RESULT),
+    *[(status.value, _outcome(status), expected) for status, expected in [
+        (ExecStatus.SYNTAX_ERROR, ErrorClass.EXECUTION_ERROR),
+        (ExecStatus.SCHEMA_ERROR, ErrorClass.SCHEMA_LINKING_ERROR),
+        (ExecStatus.EMPTY_RESULT, ErrorClass.EMPTY_RESULT),
+        (ExecStatus.TIMEOUT, ErrorClass.EXECUTION_ERROR),
+        (ExecStatus.DENIED, ErrorClass.EXECUTION_ERROR),
+        (ExecStatus.OTHER_ERROR, ErrorClass.EXECUTION_ERROR)]],
+]
+
+
 class TestClassifyError:
+    """``judge``, the one EX rule: every EX and error class comes from it."""
+
     def ok(self, rows=((1,),)):
         return ExecutionOutcome(status=ExecStatus.OK, rows=rows)
 
@@ -154,31 +191,34 @@ class TestClassifyError:
         return ExecutionOutcome(status=ExecStatus.EMPTY_RESULT, rows=())
 
     def test_none_when_ex(self):
-        assert classify_error(self.ok(), self.ok(), ex=True) is ErrorClass.NONE
+        assert judge(self.ok(), self.ok(), "SELECT 1") is ErrorClass.NONE
 
     def test_gold_error(self):
-        label = classify_error(self.ok(), self.failed(ExecStatus.SCHEMA_ERROR), ex=False)
+        label = judge(self.ok(), self.failed(ExecStatus.SCHEMA_ERROR), "SELECT 1")
         assert label is ErrorClass.GOLD_ERROR
 
     def test_schema_linking(self):
-        label = classify_error(self.failed(ExecStatus.SCHEMA_ERROR,
-                                           "no such column: gendr"),
-                               self.ok(), ex=False)
+        label = judge(self.failed(ExecStatus.SCHEMA_ERROR, "no such column: gendr"),
+                      self.ok(), "SELECT 1")
         assert label is ErrorClass.SCHEMA_LINKING_ERROR
 
     @pytest.mark.parametrize("status", [ExecStatus.SYNTAX_ERROR, ExecStatus.TIMEOUT,
                                         ExecStatus.DENIED, ExecStatus.OTHER_ERROR])
     def test_execution_error(self, status):
-        assert classify_error(self.failed(status), self.ok(),
-                              ex=False) is ErrorClass.EXECUTION_ERROR
+        assert judge(self.failed(status), self.ok(), "SELECT 1") is ErrorClass.EXECUTION_ERROR
 
     def test_empty_result(self):
-        assert classify_error(self.empty(), self.ok(),
-                              ex=False) is ErrorClass.EMPTY_RESULT
+        assert judge(self.empty(), self.ok(), "SELECT 1") is ErrorClass.EMPTY_RESULT
 
     def test_wrong_result(self):
-        assert classify_error(self.ok(rows=((2,),)), self.ok(),
-                              ex=False) is ErrorClass.WRONG_RESULT
+        assert judge(self.ok(rows=((2,),)), self.ok(), "SELECT 1") is ErrorClass.WRONG_RESULT
+
+    @pytest.mark.parametrize("gold", list(ExecStatus), ids=lambda s: f"gold-{s.value}")
+    @pytest.mark.parametrize("pred,expected", [row[1:] for row in _AGAINST_OK_GOLD],
+                             ids=[row[0] for row in _AGAINST_OK_GOLD])
+    def test_every_status_pair(self, pred, gold, expected):
+        label = judge(pred, _outcome(gold), "SELECT x FROM t")
+        assert label is (expected if gold is ExecStatus.OK else ErrorClass.GOLD_ERROR)
 
 
 class TestScoreItem:

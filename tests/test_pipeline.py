@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
+import shutil
+import sqlite3
 import threading
 from pathlib import Path
 
@@ -10,10 +13,11 @@ import pytest
 
 from dbfixtures import BANKING_DESCRIPTIONS
 
+from text2sql import evaluation, pipeline, refiner
 from text2sql.backend import ScriptedBackend
 from text2sql.codec import decoder, encode
 from text2sql.datasets import DatabaseRegistry, Task
-from text2sql.execution import DEFAULT_TIMEOUT, ExecStatus
+from text2sql.execution import DEFAULT_TIMEOUT, ExecStatus, db_stamp
 from text2sql.pipeline import (
     Journal,
     MissingGold,
@@ -21,7 +25,7 @@ from text2sql.pipeline import (
     PipelineConfig,
     PipelineState,
     export_instruction_data,
-    recorded_ex,
+    scored_ex,
 )
 from text2sql.refiner import MAX_ROUNDS
 
@@ -68,6 +72,20 @@ def scripted_backend(scripted_banking_path):
 def banking_task(task_id="0", gold=None):
     return Task(task_id=task_id, db_id="banking_system", question=QUESTION,
                 evidence=EVIDENCE, gold_sql=gold, difficulty="simple")
+
+
+def count_runs(monkeypatch) -> list[tuple[str, str]]:
+    """(module, sql) of each ``execute_sql`` call the refiner or the scoring makes."""
+    runs = []
+
+    def counting(name, run):
+        def execute_sql(db_path, sql, **kwargs):
+            runs.append((name, sql))
+            return run(db_path, sql, **kwargs)
+        return execute_sql
+    for name, module in (("refiner", refiner), ("evaluation", evaluation)):
+        monkeypatch.setattr(module, "execute_sql", counting(name, module.execute_sql))
+    return runs
 
 
 class TestPipelineConfig:
@@ -140,6 +158,9 @@ class TestRunQuestion:
         revived = decoder(PipelineState)(json.loads(line(state)))
         assert revived == state
         assert line(revived) == line(state)
+        # the refiner's rows stay off the line, and off the state read back
+        assert state.outcome.rows and "outcome" not in json.loads(line(state))
+        assert revived.outcome is None
 
     def test_decomposer_failure_recorded(self, registry):
         backend = ScriptedBackend([("decompose the question into subquestions",
@@ -299,20 +320,77 @@ class TestRunBatch:
         assert [v.ex for v in verdicts[0][:9]] == [i % 3 != 0 for i in range(9)]
         assert verdicts[0][9] is None  # no gold, no verdict
 
-    def test_verdict_holds_only_with_its_gold_and_file(self, registry, scripted_backend):
+    def test_verdict_holds_only_with_its_gold_and_file(self, registry, scripted_backend,
+                                                       monkeypatch):
         pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
         [state] = pipe.run_batch([banking_task(gold="SELECT 'M'")])
         db_path = registry.path("banking_system")
         gold = "SELECT 'M'"
-        assert recorded_ex(state, db_path, gold) is False
+        runs = count_runs(monkeypatch)
+        assert scored_ex(state, db_path, gold) is False
         state.ex_verdict = dataclasses.replace(state.ex_verdict, ex=True)
-        assert recorded_ex(state, db_path, gold) is True
+        assert scored_ex(state, db_path, gold) is True  # the journaled answer, not a new one
+        assert runs == []
         stale = dataclasses.replace(state.ex_verdict, db_stamp=(0, 0, 0))
-        assert recorded_ex(dataclasses.replace(state, ex_verdict=stale), db_path, gold) is None
-        assert recorded_ex(state, db_path, "SELECT 'F'") is None  # the gold was corrected
-        assert recorded_ex(state, db_path, None) is None
+        assert scored_ex(dataclasses.replace(state, ex_verdict=stale), db_path, gold) is False
+        assert sorted(runs) == sorted([("evaluation", gold), ("evaluation", FINAL_GENDER_SQL)])
+        assert scored_ex(state, db_path, "SELECT 'F'") is True  # the gold was corrected
         state.task = banking_task(gold=None)
-        assert recorded_ex(state, db_path, gold) is None
+        assert scored_ex(state, db_path, gold) is False
+        assert len(runs) == 6
+
+    def test_a_question_runs_its_final_sql_once(self, registry, scripted_backend,
+                                                monkeypatch):
+        runs = count_runs(monkeypatch)
+        pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
+        [state] = pipe.run_batch([banking_task(gold="SELECT 'F'")])
+        assert state.ex_verdict.ex is True
+        assert runs == [("refiner", FINAL_GENDER_SQL), ("evaluation", "SELECT 'F'")]
+        assert state.outcome is None  # the batch keeps no rows
+
+    def test_a_refiner_failure_scores_both_queries(self, registry, monkeypatch):
+        empty = "SELECT gender FROM client WHERE gender = 'Q'"  # calls the refiner, which fails
+        backend = ScriptedBackend([("decompose the question into subquestions",
+                                    f"```sql\n{empty}\n```")], context_window=32768)
+        runs = count_runs(monkeypatch)
+        pipe = Pipeline(backend, registry, PipelineConfig())
+        [state] = pipe.run_batch([banking_task(gold="SELECT 'F'")])
+        assert state.error.startswith("refiner backend failure")
+        assert state.ex_verdict.ex is False
+        assert runs == [("refiner", empty), ("evaluation", empty), ("evaluation", "SELECT 'F'")]
+
+    def test_a_write_during_the_question_voids_the_verdict(self, banking_db, scripted_backend,
+                                                           tmp_path, monkeypatch):
+        db = tmp_path / "banking.sqlite"
+        shutil.copyfile(banking_db, db)
+        registry = DatabaseRegistry()
+        registry.register("banking_system", str(db), BANKING_DESCRIPTIONS)
+        original = pipeline.refine_loop
+
+        def refine_then_write(*args, **kwargs):
+            result = original(*args, **kwargs)
+            with contextlib.closing(sqlite3.connect(db)) as conn:  # grows the file
+                conn.execute("CREATE TABLE pad (x)")
+                conn.execute("INSERT INTO pad VALUES (zeroblob(65536))")
+                conn.commit()
+            return result
+        monkeypatch.setattr(pipeline, "refine_loop", refine_then_write)
+        pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
+        [state] = pipe.run_batch([banking_task(gold="SELECT 'F'")])
+        assert state.ex_verdict.db_stamp != db_stamp(str(db))
+        runs = count_runs(monkeypatch)
+        assert scored_ex(state, str(db), "SELECT 'F'") is True
+        assert len(runs) == 2  # scored again
+
+    def test_progress_counts_only_the_batch(self, registry, scripted_backend, tmp_path):
+        journal = str(tmp_path / "journal.jsonl")
+        pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
+        pipe.run_batch([banking_task(str(i)) for i in range(5)], journal_path=journal)
+        seen = []
+        states = pipe.run_batch([banking_task(i) for i in ("0", "7", "8")], journal_path=journal,
+                                progress=lambda done, total, state: seen.append((done, total)))
+        assert [s.task.task_id for s in states] == ["0", "7", "8"]
+        assert seen == [(2, 3), (3, 3)]
 
     def test_progress_stream(self, registry, scripted_backend):
         seen = []

@@ -84,8 +84,8 @@ class TestRefinerPrompt:
 class TestRefineLoop:
     def test_ok_first_try(self, banking_db):
         backend = ScriptedBackend([])  # must never be called
-        final, attempts = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
-                                      "SELECT gender FROM client")
+        final, attempts, _ = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
+                                         "SELECT gender FROM client")
         assert final == "SELECT gender FROM client"
         assert len(attempts) == 1
         assert attempts[0].outcome.status is ExecStatus.OK
@@ -95,29 +95,30 @@ class TestRefineLoop:
         backend = ScriptedBackend([
             ("no such column", "Fixed:\n```sql\nSELECT gender FROM client\n```"),
         ])
-        final, attempts = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
-                                      "SELECT gendr FROM client")
+        final, attempts, outcome = refine_loop(backend.complete, str(banking_db), "q", "",
+                                               "s", "f", "SELECT gendr FROM client")
         assert final == "SELECT gender FROM client"
         assert len(attempts) == 2
         assert attempts[0].corrected_sql == "SELECT gender FROM client"
         # verified by an execution oracle, not by trusting the loop
         oracle = execute_sql(str(banking_db), final)
         assert oracle.status is ExecStatus.OK
+        assert outcome == oracle  # the outcome returned is the final SQL's own run
 
     def test_same_broken_sql_every_round(self, banking_db):
         broken = "SELECT nothing FROM nowhere"
         backend = ScriptedBackend([("fix up SQL", f"```sql\n{broken}\n```")])
-        final, attempts = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
-                                      broken, max_rounds=3)
+        final, attempts, outcome = refine_loop(backend.complete, str(banking_db), "q", "",
+                                               "s", "f", broken, max_rounds=3)
         assert final == broken
         assert len(attempts) == 3 + 1
-        assert attempts[-1].outcome.status is not ExecStatus.OK
+        assert attempts[-1].outcome.status is outcome.status is not ExecStatus.OK
 
     def test_unparseable_correction_returns_prior(self, banking_db):
         backend = ScriptedBackend([("fix up SQL", "sorry, cannot help")])
         initial = "SELECT ghost FROM client"
-        final, attempts = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
-                                      initial)
+        final, attempts, _ = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
+                                         initial)
         assert final == initial
         assert len(attempts) == 1
         assert attempts[0].corrected_sql is None
@@ -126,8 +127,8 @@ class TestRefineLoop:
         backend = ScriptedBackend([
             ("empty result set", "```sql\nSELECT gender FROM client\n```"),
         ])
-        final, attempts = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
-                                      "SELECT gender FROM client WHERE gender = 'Q'")
+        final, attempts, _ = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
+                                         "SELECT gender FROM client WHERE gender = 'Q'")
         assert final == "SELECT gender FROM client"
         assert attempts[0].outcome.status is ExecStatus.EMPTY_RESULT
 
@@ -135,26 +136,27 @@ class TestRefineLoop:
         backend = ScriptedBackend([
             ("no such column", "```sql\nSELECT gender FROM client\n```"),
         ])
-        final, attempts = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
-                                      "SELECT wrong FROM client", max_rounds=5)
+        final, attempts, _ = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
+                                         "SELECT wrong FROM client", max_rounds=5)
         assert attempts[-1].outcome.status is ExecStatus.OK
         assert len(attempts) == 2  # no attempt follows an OK outcome
 
     def test_attempt_rounds_are_sequential(self, banking_db):
         backend = ScriptedBackend([("fix up SQL", "```sql\nSELECT x FROM y\n```")])
-        _, attempts = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
-                                  "SELECT nope FROM client", max_rounds=2)
+        _, attempts, _ = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
+                                     "SELECT nope FROM client", max_rounds=2)
         assert [a.round for a in attempts] == list(range(1, len(attempts) + 1))
 
     def test_attempt_keeps_a_summary_not_the_rows(self, banking_db):
         sql = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
                "WHERE i < 25) SELECT i, X'CAFE' FROM n")
-        _, attempts = refine_loop(ScriptedBackend([]).complete, str(banking_db),
-                                  "q", "", "s", "f", sql)
-        outcome = attempts[0].outcome
-        assert outcome.row_count == 25
-        assert len(outcome.rows_preview) == ROWS_PREVIEW_LIMIT == 20
-        assert outcome.rows_preview[0] == (1, "0xcafe")
+        _, attempts, outcome = refine_loop(ScriptedBackend([]).complete, str(banking_db),
+                                           "q", "", "s", "f", sql)
+        summary = attempts[0].outcome
+        assert summary.row_count == 25
+        assert len(summary.rows_preview) == ROWS_PREVIEW_LIMIT == 20
+        assert summary.rows_preview[0] == (1, "0xcafe")
+        assert len(outcome.rows) == 25  # the caller gets every row
 
     def test_max_rounds_validated(self, banking_db):
         with pytest.raises(ValueError):
