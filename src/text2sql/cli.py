@@ -26,7 +26,6 @@ from .datasets import (
     MissingDatabase,
     Task,
     load_benchmark,
-    load_column_descriptions,
 )
 # exec_match has no caller here: it stays as cli.exec_match for the benchmark's tracer
 from .evaluation import build_report, exec_match, score_item  # noqa: F401
@@ -192,8 +191,7 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
     llm = build_backend(settings)
     registry = DatabaseRegistry()
     db_id = Path(db_path).stem
-    registry.register(db_id, db_path,
-                      load_column_descriptions(Path(db_path).parent))
+    registry.register(db_id, db_path)
     pipe = Pipeline(llm, registry, pipeline_config(settings))
 
     task = Task(task_id="0", db_id=db_id, question=question, evidence=evidence)

@@ -23,8 +23,9 @@ logger = logging.getLogger(__name__)
 BIRD = "bird"
 SPIDER = "spider"
 DESCRIPTION_DIR = "database_description"
-# Bumped whenever introspection or the schema types change what a file holds.
-SCHEMA_CACHE_FORMAT = 1
+# Bumped whenever introspection, the schema types or the header's key change
+# what a file holds. 2: descriptions read from files are keyed by the files' stamps.
+SCHEMA_CACHE_FORMAT = 2
 
 
 class MissingDatabase(Exception):
@@ -76,7 +77,17 @@ def _cache_file(db_path: str) -> Path:
 
 def _cache_header(db_path: str,
                   descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> _CacheHeader:
-    text = json.dumps(descriptions or {}, sort_keys=True)
+    """The key of ``db_path``'s schema as it would be introspected now.
+
+    Descriptions read from the files beside the database are keyed by the
+    files' stamps, so a hit parses no CSV; a mapping is keyed by its JSON.
+    """
+    if descriptions is None:
+        key = [(entry.name, db_stamp(entry.path))
+               for entry in _description_files(Path(db_path).parent)]
+    else:
+        key = descriptions
+    text = json.dumps(key, sort_keys=True)
     return _CacheHeader(SCHEMA_CACHE_FORMAT, db_stamp(db_path),
                         hashlib.sha256(text.encode()).hexdigest(),
                         DEFAULT_SAMPLE_K, MAX_LITERAL_LEN)
@@ -122,7 +133,7 @@ class DatabaseRegistry:
 
     def __init__(self):
         self._paths: dict[str, str] = {}
-        self._descriptions: dict[str, Mapping[str, Mapping[str, str]]] = {}
+        self._descriptions: dict[str, Optional[Mapping[str, Mapping[str, str]]]] = {}
         self._schemas: dict[str, DatabaseSchema] = {}
         self._once: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()  # guards _once and _cache_write_failed
@@ -130,9 +141,11 @@ class DatabaseRegistry:
 
     def register(self, db_id: str, path: str,
                  descriptions: Optional[Mapping[str, Mapping[str, str]]] = None) -> None:
+        """Without ``descriptions`` the schema takes them from the
+        ``database_description/`` directory beside the file, read only when
+        the schema is introspected; an explicit mapping, even ``{}``, replaces it."""
         self._paths[db_id] = str(path)
-        if descriptions:
-            self._descriptions[db_id] = descriptions
+        self._descriptions[db_id] = descriptions
 
     def db_ids(self) -> list[str]:
         return sorted(self._paths)
@@ -157,14 +170,14 @@ class DatabaseRegistry:
 
     def _load(self, db_path: str,
               descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> DatabaseSchema:
-        header = _cache_header(db_path, descriptions)  # stamped before introspection
         try:
             cache_file = _cache_file(db_path)
         except (OSError, RuntimeError):  # no home directory, or a symlink loop
-            return introspect(db_path, descriptions)
+            return _introspect(db_path, descriptions)
+        header = _cache_header(db_path, descriptions)  # stamped before anything is read
         schema = _read_cache(cache_file, header, db_path)
         if schema is None:
-            schema = introspect(db_path, descriptions)
+            schema = _introspect(db_path, descriptions)
             try:
                 _write_cache(cache_file, _CachedSchema(header, schema))
             except (OSError, ValueError, TypeError) as exc:
@@ -202,6 +215,22 @@ def _database_file(db_root: Path, db_id: str) -> Path:
     return db_root / db_id / f"{db_id}.sqlite"
 
 
+def _introspect(db_path: str,
+                descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> DatabaseSchema:
+    if descriptions is None:
+        descriptions = load_column_descriptions(Path(db_path).parent)
+    return introspect(db_path, descriptions)
+
+
+def _description_files(db_dir: Path) -> list[os.DirEntry]:
+    """``<db_dir>/database_description/*.csv`` by name; none without the directory."""
+    try:
+        with os.scandir(db_dir / DESCRIPTION_DIR) as entries:
+            return sorted((e for e in entries if e.name.endswith(".csv")), key=lambda e: e.name)
+    except OSError:
+        return []
+
+
 def load_column_descriptions(db_dir: Path) -> dict[str, dict[str, str]]:
     """Per-table column descriptions from a database's description CSV files.
 
@@ -211,13 +240,10 @@ def load_column_descriptions(db_dir: Path) -> dict[str, dict[str, str]]:
     contain stray bytes.
     """
     out: dict[str, dict[str, str]] = {}
-    desc_dir = db_dir / DESCRIPTION_DIR
-    if not desc_dir.is_dir():
-        return out
-    for csv_path in sorted(desc_dir.glob("*.csv")):
-        table = csv_path.stem
+    for entry in _description_files(db_dir):
+        table = Path(entry.name).stem
         columns: dict[str, str] = {}
-        with open(csv_path, encoding="utf-8", errors="replace", newline="") as handle:
+        with open(entry.path, encoding="utf-8", errors="replace", newline="") as handle:
             reader = csv.DictReader(handle)
             for row in reader:
                 row = { (k or "").strip().lower(): (v or "").strip()
@@ -278,8 +304,7 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
             db_file = _database_file(root, task.db_id)
             if not db_file.exists():
                 raise MissingDatabase(f"item {idx}: no database file at {db_file}")
-            registry.register(task.db_id, str(db_file),
-                              load_column_descriptions(root / task.db_id))
+            registry.register(task.db_id, str(db_file))
             registered.add(task.db_id)
         tasks.append(task)
     return Benchmark(tasks=tasks, _registry=registry)

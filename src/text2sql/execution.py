@@ -72,7 +72,8 @@ def db_stamp(db_path: str) -> Optional[tuple[int, int, int]]:
     """The identity of a database file: ``(st_ino, st_size, st_mtime_ns)``; None when it is gone.
 
     A journaled EX verdict and a cached schema each hold while the file keeps
-    the stamp they were made with.
+    the stamp they were made with; a cached schema also needs the stamps of
+    its description files.
     """
     try:
         info = os.stat(db_path)

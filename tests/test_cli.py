@@ -411,6 +411,29 @@ class TestEval:
         assert abs(report["ex_pct"] - 200.0 / 3) < 1e-9
 
 
+def test_eval_and_export_read_no_description_csv(runner, banking_bird_root, bird_items_file,
+                                                script_config, tmp_path, monkeypatch):
+    journal = tmp_path / "journal.jsonl"
+    result = runner.invoke(main, [
+        "bench", "--benchmark", "bird", "--items", bird_items_file,
+        "--db-root", str(banking_bird_root), "--journal", str(journal),
+        "--config", script_config,
+    ])
+    assert result.exit_code == 0, result.output
+
+    def refuse(db_dir):
+        raise AssertionError("description CSVs were read")
+    monkeypatch.setattr(datasets, "load_column_descriptions", refuse)
+    common = ["--benchmark", "bird", "--items", bird_items_file,
+              "--db-root", str(banking_bird_root)]
+    result = runner.invoke(main, ["eval", "--predictions", str(journal), *common,
+                                  "--out", str(tmp_path / "report"), "--no-ves"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["export-sft", "--journal", str(journal), *common,
+                                  "--out", str(tmp_path / "records.jsonl")])
+    assert result.exit_code == 0, result.output
+
+
 class TestExportSft:
     def test_counts_match_grouped_tally(self, runner, banking_bird_root,
                                         bird_items_file, script_config, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from text2sql.codec import decoder, encode
 from text2sql.datasets import (
+    DatabaseRegistry,
     MalformedItem,
     MissingDatabase,
     Task,
@@ -119,6 +120,21 @@ class TestDescriptions:
 
     def test_absent_directory_degrades(self, tmp_path):
         assert load_column_descriptions(tmp_path) == {}
+
+    def test_registration_without_a_mapping_reads_the_directory_beside_the_file(
+            self, banking_bird_root):
+        registry = DatabaseRegistry()
+        registry.register("banking_system",
+                          str(banking_bird_root / "banking_system" / "banking_system.sqlite"))
+        schema = registry.get_schema("banking_system")
+        assert schema.table("district").column("A11").description == "average salary"
+
+    def test_explicit_empty_mapping_means_no_descriptions(self, banking_bird_root):
+        registry = DatabaseRegistry()
+        registry.register("banking_system",
+                          str(banking_bird_root / "banking_system" / "banking_system.sqlite"), {})
+        schema = registry.get_schema("banking_system")
+        assert all(c.description == "" for t in schema.tables for c in t.columns)
 
     def test_stray_bytes_tolerated(self, tmp_path):
         desc_dir = tmp_path / "database_description"

@@ -20,14 +20,14 @@ from dbfixtures import BANKING_DESCRIPTIONS
 
 from text2sql import datasets
 from text2sql.codec import encode
-from text2sql.datasets import DatabaseRegistry, load_benchmark
+from text2sql.datasets import DatabaseRegistry, load_benchmark, load_column_descriptions
 from text2sql.execution import db_stamp
 from text2sql.schema import introspect, render_schema_description
 
 DB_ID = "banking_system"
 # The banking fixture's cache file, with its descriptions, as written when
-# introspection still opened a connection of its own. Its stamp and path,
-# the only fields that depend on the machine, are zeroed.
+# introspection still opened a connection of its own, in format 1. Its stamp
+# and path, the only fields that depend on the machine, are zeroed.
 GOLDEN_CACHE = Path(__file__).parent / "data" / "golden" / "banking_schema_cache.json"
 
 
@@ -90,6 +90,8 @@ class TestHit:
     def test_file_of_the_earlier_introspection_hits(self, db, introspected):
         cached = json.loads(GOLDEN_CACHE.read_text(encoding="utf-8"))
         cached["header"]["db_stamp"] = list(db_stamp(str(db)))
+        # the body and a mapping's description digest are as that code wrote them
+        cached["header"]["format"] = datasets.SCHEMA_CACHE_FORMAT
         cache_file = datasets._cache_file(str(db))
         cache_file.parent.mkdir(parents=True)
         cache_file.write_text(json.dumps(cached), encoding="utf-8")
@@ -174,6 +176,108 @@ class TestInvalidation:
         assert len(introspected) == 2
 
 
+@pytest.fixture()
+def parsed(monkeypatch) -> list[Path]:
+    """The directories ``datasets.load_column_descriptions`` was called with, in order."""
+    calls = []
+    real = datasets.load_column_descriptions
+
+    def counting(db_dir):
+        calls.append(db_dir)
+        return real(db_dir)
+    monkeypatch.setattr(datasets, "load_column_descriptions", counting)
+    return calls
+
+
+@pytest.fixture()
+def bird_db(banking_bird_root, tmp_path):
+    """A copy of the BIRD-layout banking database and its description CSVs."""
+    shutil.copytree(banking_bird_root / DB_ID, tmp_path / DB_ID)
+    return tmp_path / DB_ID / f"{DB_ID}.sqlite"
+
+
+def description_csv(db, table):
+    return db.parent / "database_description" / f"{table}.csv"
+
+
+class TestDescriptionFiles:
+    """A database registered without descriptions is keyed by its CSVs' stamps."""
+
+    def reload_after(self, db, change, introspected):
+        """The schema after ``change``, asserting that the change was a miss."""
+        before = load(db, None)
+        change()
+        after = load(db, None)
+        assert len(introspected) == 2
+        assert after != before
+        assert after == introspect(str(db), load_column_descriptions(db.parent))
+        load(db, None)
+        assert len(introspected) == 2
+        return after
+
+    def test_a_hit_parses_no_csv(self, bird_db, parsed, introspected):
+        schema = load(bird_db, None)
+        assert parsed == [bird_db.parent]
+        assert schema.table("client").column("birth_date").description == "birth date"
+        assert load(bird_db, None) == schema
+        assert len(parsed) == len(introspected) == 1
+
+    def test_csv_edited_to_the_same_size(self, bird_db, introspected):
+        path = description_csv(bird_db, "client")
+
+        def edit():
+            info = os.stat(path)
+            path.write_bytes(path.read_bytes().replace(b"birth date", b"BIRTH DATE"))
+            os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 1_000_000_000))
+            after = os.stat(path)
+            assert (after.st_ino, after.st_size) == (info.st_ino, info.st_size)
+        schema = self.reload_after(bird_db, edit, introspected)
+        assert schema.table("client").column("birth_date").description == "BIRTH DATE"
+
+    def test_csv_added_for_a_table_that_had_none(self, bird_db, introspected):
+        path = description_csv(bird_db, "loan")
+        text = path.read_text()
+        path.unlink()
+        schema = self.reload_after(bird_db, lambda: path.write_text(text), introspected)
+        assert schema.table("loan").column("status").description == \
+            "the id number identifying the loan data"
+
+    def test_csv_deleted(self, bird_db, introspected):
+        schema = self.reload_after(bird_db, description_csv(bird_db, "client").unlink,
+                                   introspected)
+        assert schema.table("client").column("birth_date").description == ""
+        assert schema.table("account").column("account_id").description == \
+            "the id of the account"
+
+    def test_directory_removed(self, bird_db, introspected):
+        def remove():
+            shutil.rmtree(bird_db.parent / "database_description")
+        schema = self.reload_after(bird_db, remove, introspected)
+        assert schema == introspect(str(bird_db))
+
+    @pytest.mark.parametrize("descriptions", [None, BANKING_DESCRIPTIONS],
+                             ids=["files", "mapping"])
+    def test_file_of_format_1_is_a_miss_and_is_rewritten(
+            self, bird_db, descriptions, introspected, schema_cache_home):
+        cached = json.loads(GOLDEN_CACHE.read_text(encoding="utf-8"))
+        assert cached["header"]["format"] == 1
+        cached["header"]["db_stamp"] = list(db_stamp(str(bird_db)))
+        [client] = [t for t in cached["schema"]["tables"] if t["name"] == "client"]
+        [birth_date] = [c for c in client["columns"] if c["name"] == "birth_date"]
+        birth_date["description"] = "stale"
+        cache_file = datasets._cache_file(str(bird_db))
+        cache_file.parent.mkdir(parents=True)
+        cache_file.write_text(json.dumps(cached), encoding="utf-8")
+        schema = load(bird_db, descriptions)
+        assert len(introspected) == 1
+        assert schema.table("client").column("birth_date").description == "birth date"
+        assert cache_files(schema_cache_home) == [cache_file]
+        header = json.loads(cache_file.read_text(encoding="utf-8"))["header"]
+        assert header["format"] == datasets.SCHEMA_CACHE_FORMAT
+        assert load(bird_db, descriptions) == schema
+        assert len(introspected) == 1
+
+
 def only_file(home):
     (path,) = cache_files(home)
     return path
@@ -185,7 +289,7 @@ class TestBadFiles:
         lambda text: "\x00\xff garbage",
         lambda text: "[]",
         lambda text: '{"header": 1, "schema": 2}',
-        lambda text: text.replace('"format":1', '"format":0'),
+        lambda text: text.replace(f'"format":{datasets.SCHEMA_CACHE_FORMAT}', '"format":0'),
         lambda text: text.replace('"sample_k":', '"sample_k":1'),
     ], ids=["truncated", "garbage", "list", "wrong_types", "old_format", "other_sample_k"])
     def test_spoiled_file_is_a_miss_and_is_rewritten(self, db, spoil, introspected,
