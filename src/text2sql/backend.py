@@ -6,6 +6,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
@@ -74,8 +75,8 @@ class ScriptedBackend:
 
     Entries are (needle, response) pairs matched against the request's user
     text. In strict mode exactly one entry must match; otherwise the first
-    matching entry wins. Replies are pure: identical requests always produce
-    identical responses.
+    matching entry wins and no later needle is tested. Replies are pure:
+    identical requests always produce identical responses.
     """
 
     def __init__(self, entries: Sequence[tuple[str, str]], strict: bool = False,
@@ -109,7 +110,8 @@ class ScriptedBackend:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         _require_user_text(request)
-        hits = [resp for needle, resp in self.entries if needle in request.user_text]
+        matches = (resp for needle, resp in self.entries if needle in request.user_text)
+        hits = list(matches if self.strict else islice(matches, 1))
         if self.strict and len(hits) != 1:
             raise ScriptMiss(f"strict script expected exactly one match, got {len(hits)}")
         if not hits:
@@ -201,11 +203,21 @@ class HttpBackend:
             text = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(f"malformed completion response: {exc}") from exc
-        usage = data.get("usage") or {}
+        if not isinstance(text, str):
+            raise BackendUnavailable(f"malformed completion response: content is {text!r}")
+        usage = data.get("usage")
+        if not isinstance(usage, dict):
+            usage = {}
         return ChatResponse(
             text=text,
-            prompt_tokens=usage.get("prompt_tokens",
-                                    estimate_tokens(request.system_text + request.user_text)),
-            completion_tokens=usage.get("completion_tokens", estimate_tokens(text)),
+            prompt_tokens=_token_count(usage, "prompt_tokens",
+                                       request.system_text + request.user_text),
+            completion_tokens=_token_count(usage, "completion_tokens", text),
             latency=latency,
         )
+
+
+def _token_count(usage: dict, key: str, text: str) -> int:
+    """The endpoint's count if it is an int (not a bool or a float), else ``text``'s estimate."""
+    count = usage.get(key)
+    return count if type(count) is int else estimate_tokens(text)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -12,20 +11,20 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 from .codec import decoder, encode
 from .execution import db_stamp
-from .schema import DEFAULT_SAMPLE_K, MAX_LITERAL_LEN, DatabaseSchema, introspect
+from .schema import DEFAULT_SAMPLE_K, MAX_LITERAL_LEN, DatabaseSchema, description_files, introspect
 
 logger = logging.getLogger(__name__)
 
 BIRD = "bird"
 SPIDER = "spider"
-DESCRIPTION_DIR = "database_description"
 # Bumped whenever introspection, the schema types or the header's key change
-# what a file holds. 2: descriptions read from files are keyed by the files' stamps.
-SCHEMA_CACHE_FORMAT = 2
+# what a file holds. 2: descriptions are keyed by the files' stamps. 3: a CSV's
+# leading byte-order mark is dropped.
+SCHEMA_CACHE_FORMAT = 3
 
 
 class MissingDatabase(Exception):
@@ -75,18 +74,14 @@ def _cache_file(db_path: str) -> Path:
     return root / "text2sql" / "schemas" / f"{digest}.json"
 
 
-def _cache_header(db_path: str,
-                  descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> _CacheHeader:
+def _cache_header(db_path: str) -> _CacheHeader:
     """The key of ``db_path``'s schema as it would be introspected now.
 
-    Descriptions read from the files beside the database are keyed by the
-    files' stamps, so a hit parses no CSV; a mapping is keyed by its JSON.
+    The description CSVs beside the database are keyed by their stamps, so a
+    hit parses no CSV.
     """
-    if descriptions is None:
-        key = [(entry.name, db_stamp(entry.path))
-               for entry in _description_files(Path(db_path).parent)]
-    else:
-        key = descriptions
+    key = [(entry.name, db_stamp(entry.path))
+           for entry in description_files(Path(db_path).parent)]
     text = json.dumps(key, sort_keys=True)
     return _CacheHeader(SCHEMA_CACHE_FORMAT, db_stamp(db_path),
                         hashlib.sha256(text.encode()).hexdigest(),
@@ -133,19 +128,13 @@ class DatabaseRegistry:
 
     def __init__(self):
         self._paths: dict[str, str] = {}
-        self._descriptions: dict[str, Optional[Mapping[str, Mapping[str, str]]]] = {}
         self._schemas: dict[str, DatabaseSchema] = {}
         self._once: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()  # guards _once and _cache_write_failed
         self._cache_write_failed = False
 
-    def register(self, db_id: str, path: str,
-                 descriptions: Optional[Mapping[str, Mapping[str, str]]] = None) -> None:
-        """Without ``descriptions`` the schema takes them from the
-        ``database_description/`` directory beside the file, read only when
-        the schema is introspected; an explicit mapping, even ``{}``, replaces it."""
+    def register(self, db_id: str, path: str) -> None:
         self._paths[db_id] = str(path)
-        self._descriptions[db_id] = descriptions
 
     def db_ids(self) -> list[str]:
         return sorted(self._paths)
@@ -164,20 +153,18 @@ class DatabaseRegistry:
             with once:
                 schema = self._schemas.get(db_id)
                 if schema is None:
-                    schema = self._schemas[db_id] = self._load(
-                        db_path, self._descriptions.get(db_id))
+                    schema = self._schemas[db_id] = self._load(db_path)
         return schema
 
-    def _load(self, db_path: str,
-              descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> DatabaseSchema:
+    def _load(self, db_path: str) -> DatabaseSchema:
         try:
             cache_file = _cache_file(db_path)
         except (OSError, RuntimeError):  # no home directory, or a symlink loop
-            return _introspect(db_path, descriptions)
-        header = _cache_header(db_path, descriptions)  # stamped before anything is read
+            return introspect(db_path)
+        header = _cache_header(db_path)  # stamped before anything is read
         schema = _read_cache(cache_file, header, db_path)
         if schema is None:
-            schema = _introspect(db_path, descriptions)
+            schema = introspect(db_path)
             try:
                 _write_cache(cache_file, _CachedSchema(header, schema))
             except (OSError, ValueError, TypeError) as exc:
@@ -213,51 +200,6 @@ class _Item:
 
 def _database_file(db_root: Path, db_id: str) -> Path:
     return db_root / db_id / f"{db_id}.sqlite"
-
-
-def _introspect(db_path: str,
-                descriptions: Optional[Mapping[str, Mapping[str, str]]]) -> DatabaseSchema:
-    if descriptions is None:
-        descriptions = load_column_descriptions(Path(db_path).parent)
-    return introspect(db_path, descriptions)
-
-
-def _description_files(db_dir: Path) -> list[os.DirEntry]:
-    """``<db_dir>/database_description/*.csv`` by name; none without the directory."""
-    try:
-        with os.scandir(db_dir / DESCRIPTION_DIR) as entries:
-            return sorted((e for e in entries if e.name.endswith(".csv")), key=lambda e: e.name)
-    except OSError:
-        return []
-
-
-def load_column_descriptions(db_dir: Path) -> dict[str, dict[str, str]]:
-    """Per-table column descriptions from a database's description CSV files.
-
-    Each ``<table>.csv`` carries at least the original column name, a friendly
-    name, and a description; the first nonempty of description/friendly name is
-    used. Files are read as UTF-8 with lossy replacement since benchmark CSVs
-    contain stray bytes.
-    """
-    out: dict[str, dict[str, str]] = {}
-    for entry in _description_files(db_dir):
-        table = Path(entry.name).stem
-        columns: dict[str, str] = {}
-        with open(entry.path, encoding="utf-8", errors="replace", newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                row = { (k or "").strip().lower(): (v or "").strip()
-                        for k, v in row.items() }
-                original = row.get("original_column_name", "")
-                if not original:
-                    continue
-                description = (row.get("column_description", "")
-                               or row.get("column_name", ""))
-                if description:
-                    columns[original] = description
-        if columns:
-            out[table] = columns
-    return out
 
 
 def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import functools
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
 
 from .execution import execute_sql
 
@@ -15,6 +16,7 @@ logger = logging.getLogger(__name__)
 
 MAX_LITERAL_LEN = 50
 DEFAULT_SAMPLE_K = 5
+DESCRIPTION_DIR = "database_description"
 
 
 class UnreadableDatabase(Exception):
@@ -196,16 +198,56 @@ def _rows(db_path: str, sql: str) -> tuple:
     return outcome.rows
 
 
-def introspect(db_path: str,
-               descriptions: Optional[Mapping[str, Mapping[str, str]]] = None) -> DatabaseSchema:
+def description_files(db_dir: Path) -> list[os.DirEntry]:
+    """``<db_dir>/database_description/*.csv`` by name; none without the directory."""
+    try:
+        with os.scandir(db_dir / DESCRIPTION_DIR) as entries:
+            return sorted((e for e in entries if e.name.endswith(".csv")), key=lambda e: e.name)
+    except OSError:
+        return []
+
+
+def load_column_descriptions(db_dir: Path) -> dict[str, dict[str, str]]:
+    """Per-table column descriptions from a database's description CSV files.
+
+    Each ``<table>.csv`` carries at least the original column name, a friendly
+    name, and a description; the first nonempty of description/friendly name is
+    used. Files are read as UTF-8, a leading byte-order mark dropped, with lossy
+    replacement since benchmark CSVs contain stray bytes.
+    """
+    out: dict[str, dict[str, str]] = {}
+    for entry in description_files(db_dir):
+        table = Path(entry.name).stem
+        columns: dict[str, str] = {}
+        with open(entry.path, encoding="utf-8-sig", errors="replace", newline="") as handle:
+            reader = csv.DictReader(handle)
+            for row in reader:
+                row = { (k or "").strip().lower(): (v or "").strip()
+                        for k, v in row.items() }
+                original = row.get("original_column_name", "")
+                if not original:
+                    continue
+                description = (row.get("column_description", "")
+                               or row.get("column_name", ""))
+                if description:
+                    columns[original] = description
+        if columns:
+            out[table] = columns
+    return out
+
+
+def introspect(db_path: str) -> DatabaseSchema:
     """Read tables, columns, keys, and sample values from a SQLite benchmark database.
 
-    ``descriptions`` maps table -> column -> free-text description; entries are
-    matched case-insensitively and unmatched entries are dropped with a warning.
-    Each query runs through ``execute_sql``, so each has its ``DEFAULT_TIMEOUT``;
-    a missing, corrupt or too slow file raises ``UnreadableDatabase``.
+    Column descriptions come from the ``database_description/`` CSVs beside the
+    file; they are matched case-insensitively and unmatched entries are dropped
+    with a warning. Each query runs through ``execute_sql``, so each has its
+    ``DEFAULT_TIMEOUT``; a missing, corrupt or too slow file raises
+    ``UnreadableDatabase``.
     """
-    desc_lookup = _fold_descriptions(descriptions or {})
+    desc_lookup = {(table.lower(), col.lower()): text
+                   for table, cols in load_column_descriptions(Path(db_path).parent).items()
+                   for col, text in cols.items()}
     matched: set[tuple[str, str]] = set()
     tables = []
     for (tname,) in _rows(db_path, "SELECT name FROM sqlite_master "
@@ -253,14 +295,6 @@ def introspect(db_path: str,
 
     return DatabaseSchema(db_id=Path(db_path).stem, tables=tuple(tables),
                           foreign_keys=tuple(fks))
-
-
-def _fold_descriptions(descriptions: Mapping[str, Mapping[str, str]]) -> dict[tuple[str, str], str]:
-    out = {}
-    for table, cols in descriptions.items():
-        for col, text in cols.items():
-            out[(table.lower(), col.lower())] = text
-    return out
 
 
 def _table_block(table: TableSchema) -> str:

@@ -8,7 +8,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dbfixtures import (  # noqa: E402
-    BANKING_DESCRIPTIONS,
     build_banking_bird_layout,
     build_banking_db,
     build_library_db,
@@ -44,15 +43,21 @@ def banking_db(tmp_path_factory) -> Path:
 
 
 @pytest.fixture(scope="session")
-def banking_schema(banking_db):
-    return introspect(str(banking_db), BANKING_DESCRIPTIONS)
-
-
-@pytest.fixture(scope="session")
 def banking_bird_root(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("bird_root")
     build_banking_bird_layout(root)
     return root
+
+
+@pytest.fixture(scope="session")
+def banking_bird_db(banking_bird_root) -> Path:
+    """The banking database with its description CSVs beside it."""
+    return banking_bird_root / "banking_system" / "banking_system.sqlite"
+
+
+@pytest.fixture(scope="session")
+def banking_schema(banking_bird_db):
+    return introspect(str(banking_bird_db))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from dbfixtures import BANKING_DESCRIPTIONS
 from metric_fixture import EXPECTED_EX, METRIC_ITEMS, oracle_exec_match
 from propchecks import (
     check_pruning_enforcement,
@@ -116,10 +115,10 @@ class TestCriterion2PromptSnapshots:
 
 
 class TestCriterion3AlgorithmInvariants:
-    def test_two_hundred_scenarios(self, banking_db):
+    def test_two_hundred_scenarios(self, banking_bird_db):
         start = time.monotonic()
         registry = DatabaseRegistry()
-        registry.register("banking_system", str(banking_db), BANKING_DESCRIPTIONS)
+        registry.register("banking_system", str(banking_bird_db))
         registry.get_schema("banking_system")
         make_invariant_check(registry, max_examples=200)()
         elapsed = time.monotonic() - start
@@ -206,9 +205,9 @@ class TestCriterion6ErrorTaxonomy:
 
 
 class TestCriterion7InstructionExport:
-    def test_filter_rule(self, banking_db, scripted_banking_path, tmp_path):
+    def test_filter_rule(self, banking_bird_db, scripted_banking_path, tmp_path):
         registry = DatabaseRegistry()
-        registry.register("banking_system", str(banking_db), BANKING_DESCRIPTIONS)
+        registry.register("banking_system", str(banking_bird_db))
 
         def run(task_id, gold):
             backend = ScriptedBackend.from_file(str(scripted_banking_path),

@@ -14,6 +14,7 @@ from text2sql.backend import (
     ScriptedBackend,
     ScriptMiss,
 )
+from text2sql.schema import estimate_tokens
 
 
 def make_request(text="hello"):
@@ -53,6 +54,21 @@ class TestScriptedBackend:
     def test_first_match_wins_when_lax(self):
         backend = ScriptedBackend([("a", "1"), ("b", "2")])
         assert backend.complete(make_request("both a and b")).text == "1"
+
+        class CountingText(str):
+            tests = 0
+
+            def __contains__(self, needle):
+                CountingText.tests += 1
+                return super().__contains__(needle)
+        entries = [("only a", "1"), ("a", "2"), ("b", "3")]
+        assert ScriptedBackend(entries).complete(
+            make_request(CountingText("only a"))).text == "1"
+        assert CountingText.tests == 1
+        CountingText.tests = 0
+        assert ScriptedBackend(entries, strict=True).complete(
+            make_request(CountingText("b"))).text == "3"
+        assert CountingText.tests == len(entries)
 
     def test_from_file(self, tmp_path):
         script = tmp_path / "script.txt"
@@ -126,6 +142,15 @@ class TestHttpBackend:
         assert response.text == "sql here"
         assert response.prompt_tokens == 7
         assert response.completion_tokens == 3
+
+        # a usage that is not an object, or a count that is not an int, is estimated
+        for usage in (None, 5, [7, 3], {"prompt_tokens": None, "completion_tokens": "3"},
+                      {"prompt_tokens": 7.0, "completion_tokens": True}):
+            payload = dict(ok_payload("sql here"), usage=usage)
+            backend = self.make_backend(_FakeSession([_FakeResponse(200, payload)]))
+            response = backend.complete(make_request("hello"))
+            assert (response.prompt_tokens, response.completion_tokens) == (
+                estimate_tokens("hello"), estimate_tokens("sql here")), usage
 
     def test_messages_and_bearer_header(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sekrit")
@@ -203,10 +228,12 @@ class TestHttpBackend:
         assert delays == [1.0, 2.0]
 
     def test_malformed_body_raises(self):
-        session = _FakeSession([_FakeResponse(200, {"nope": True})])
-        backend = self.make_backend(session)
-        with pytest.raises(BackendUnavailable):
-            backend.complete(make_request())
+        for body in ({"nope": True}, [], ok_payload(None), ok_payload(5),
+                     ok_payload(["a"]), {"choices": [{"message": {}}]}):
+            session = _FakeSession([_FakeResponse(200, body)])
+            backend = self.make_backend(session)
+            with pytest.raises(BackendUnavailable, match="malformed completion response"):
+                backend.complete(make_request())
 
     def test_empty_user_text_rejected_before_dispatch(self):
         session = _FakeSession([])

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from metric_fixture import METRIC_ITEMS
 
-from text2sql import cli, datasets, evaluation, refiner
+from text2sql import cli, datasets, evaluation, refiner, schema
 from text2sql.backend import DEFAULT_MAX_OUTPUT_TOKENS
 from text2sql.cli import build_backend, main, resolve_settings
 from text2sql.codec import encode
@@ -38,8 +38,8 @@ def runner():
 
 
 @pytest.fixture()
-def banking_db_file(banking_bird_root):
-    return str(banking_bird_root / "banking_system" / "banking_system.sqlite")
+def banking_db_file(banking_bird_db):
+    return str(banking_bird_db)
 
 
 @pytest.fixture()
@@ -423,7 +423,7 @@ def test_eval_and_export_read_no_description_csv(runner, banking_bird_root, bird
 
     def refuse(db_dir):
         raise AssertionError("description CSVs were read")
-    monkeypatch.setattr(datasets, "load_column_descriptions", refuse)
+    monkeypatch.setattr(schema, "load_column_descriptions", refuse)
     common = ["--benchmark", "bird", "--items", bird_items_file,
               "--db-root", str(banking_bird_root)]
     result = runner.invoke(main, ["eval", "--predictions", str(journal), *common,

@@ -13,9 +13,9 @@ from text2sql.datasets import (
     MissingDatabase,
     Task,
     load_benchmark,
-    load_column_descriptions,
 )
 from text2sql.execution import ExecStatus, execute_sql
+from text2sql.schema import load_column_descriptions
 
 
 def write_items(path, items):
@@ -129,13 +129,6 @@ class TestDescriptions:
         schema = registry.get_schema("banking_system")
         assert schema.table("district").column("A11").description == "average salary"
 
-    def test_explicit_empty_mapping_means_no_descriptions(self, banking_bird_root):
-        registry = DatabaseRegistry()
-        registry.register("banking_system",
-                          str(banking_bird_root / "banking_system" / "banking_system.sqlite"), {})
-        schema = registry.get_schema("banking_system")
-        assert all(c.description == "" for t in schema.tables for c in t.columns)
-
     def test_stray_bytes_tolerated(self, tmp_path):
         desc_dir = tmp_path / "database_description"
         desc_dir.mkdir()
@@ -144,6 +137,14 @@ class TestDescriptions:
             b"a,a,caf\xe9 notes\n")
         descriptions = load_column_descriptions(tmp_path)
         assert "a" in descriptions["t"]
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        desc_dir = tmp_path / "database_description"
+        desc_dir.mkdir()
+        (desc_dir / "district.csv").write_bytes(
+            b"\xef\xbb\xbforiginal_column_name,column_name,column_description\n"
+            b"A11,A11,average salary\n")
+        assert load_column_descriptions(tmp_path) == {"district": {"A11": "average salary"}}
 
 
 class TestTask:

@@ -7,14 +7,13 @@ import json
 import shutil
 import sqlite3
 import threading
+import types
 from pathlib import Path
 
 import pytest
 
-from dbfixtures import BANKING_DESCRIPTIONS
-
 from text2sql import evaluation, pipeline, refiner
-from text2sql.backend import ScriptedBackend
+from text2sql.backend import HttpBackend, ScriptedBackend
 from text2sql.codec import decoder, encode
 from text2sql.datasets import DatabaseRegistry, Task
 from text2sql.execution import DEFAULT_TIMEOUT, ExecStatus, db_stamp
@@ -55,9 +54,9 @@ def fake_clock():
 
 
 @pytest.fixture()
-def registry(banking_db):
+def registry(banking_bird_db):
     reg = DatabaseRegistry()
-    reg.register("banking_system", str(banking_db), BANKING_DESCRIPTIONS)
+    reg.register("banking_system", str(banking_bird_db))
     return reg
 
 
@@ -359,12 +358,12 @@ class TestRunBatch:
         assert state.ex_verdict.ex is False
         assert runs == [("refiner", empty), ("evaluation", empty), ("evaluation", "SELECT 'F'")]
 
-    def test_a_write_during_the_question_voids_the_verdict(self, banking_db, scripted_backend,
+    def test_a_write_during_the_question_voids_the_verdict(self, banking_bird_db, scripted_backend,
                                                            tmp_path, monkeypatch):
-        db = tmp_path / "banking.sqlite"
-        shutil.copyfile(banking_db, db)
+        shutil.copytree(banking_bird_db.parent, tmp_path / "banking_system")
+        db = tmp_path / "banking_system" / banking_bird_db.name
         registry = DatabaseRegistry()
-        registry.register("banking_system", str(db), BANKING_DESCRIPTIONS)
+        registry.register("banking_system", str(db))
         original = pipeline.refine_loop
 
         def refine_then_write(*args, **kwargs):
@@ -436,6 +435,21 @@ class TestJournal:
         assert list(states) == ["0"]
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1 and "skipped 3 journal line(s)" in warnings[0]
+
+    def test_state_of_a_reply_without_token_counts_round_trips(self, registry, tmp_path):
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": "```sql\nSELECT 'F'\n```"}}],
+                        "usage": {"prompt_tokens": None, "completion_tokens": "3"}}
+        session = types.SimpleNamespace(post=lambda *args, **kwargs: Reply())
+        backend = HttpBackend("http://llm.test/v1/chat", session=session)
+        state = Pipeline(backend, registry, PipelineConfig()).run_question(banking_task())
+        assert state.error is None and len(state.llm_calls) == 1
+        journal = Journal(str(tmp_path / "journal.jsonl"))
+        journal.append(state)
+        assert journal.load() == {"0": state}
 
 
 class TestInstructionExport:

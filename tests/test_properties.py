@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from dbfixtures import BANKING_DESCRIPTIONS
 from propchecks import (
     check_pruning_enforcement,
     check_pruning_idempotence,
@@ -13,9 +12,9 @@ from text2sql.datasets import DatabaseRegistry
 
 
 @pytest.fixture(scope="module")
-def banking_registry(banking_db):
+def banking_registry(banking_bird_db):
     registry = DatabaseRegistry()
-    registry.register("banking_system", str(banking_db), BANKING_DESCRIPTIONS)
+    registry.register("banking_system", str(banking_bird_db))
     registry.get_schema("banking_system")
     return registry
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import shutil
 import sqlite3
 
 import pytest
@@ -29,6 +30,18 @@ def make_db(tmp_path, name, script):
     conn.executescript(script)
     conn.commit()
     conn.close()
+    return path
+
+
+def with_description_csv(banking_db, tmp_path, table, rows):
+    """A copy of ``banking_db`` with one description CSV, ``<table>.csv``, beside it."""
+    path = tmp_path / banking_db.name
+    shutil.copyfile(banking_db, path)
+    desc_dir = tmp_path / "database_description"
+    desc_dir.mkdir()
+    lines = ["original_column_name,column_name,column_description"]
+    lines += [f"{column},{column},{text}" for column, text in rows.items()]
+    (desc_dir / f"{table}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -98,16 +111,18 @@ class TestIntrospect:
         assert [t.name for t in schema.tables] == oracle_tables
         assert {t.name: len(t.columns) for t in schema.tables} == oracle_columns
 
-    def test_unmatched_description_warns(self, banking_db, caplog):
-        descriptions = {"client": {"gender": "gender", "no_such": "ghost column"}}
+    def test_unmatched_description_warns(self, banking_db, tmp_path, caplog):
+        path = with_description_csv(banking_db, tmp_path, "client",
+                                    {"gender": "gender", "no_such": "ghost column"})
         with caplog.at_level("WARNING"):
-            schema = introspect(str(banking_db), descriptions)
+            schema = introspect(str(path))
         assert schema.table("client").column("gender").description == "gender"
         assert any("no_such" in message for message in caplog.messages)
 
-    def test_descriptions_match_case_insensitively(self, banking_db):
-        descriptions = {"CLIENT": {"GENDER": "sex of the client"}}
-        schema = introspect(str(banking_db), descriptions)
+    def test_descriptions_match_case_insensitively(self, banking_db, tmp_path):
+        path = with_description_csv(banking_db, tmp_path, "CLIENT",
+                                    {"GENDER": "sex of the client"})
+        schema = introspect(str(path))
         assert schema.table("client").column("gender").description == "sex of the client"
 
 

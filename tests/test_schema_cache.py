@@ -16,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from dbfixtures import BANKING_DESCRIPTIONS
+from dbfixtures import write_banking_description_csvs
 
 from text2sql import datasets
 from text2sql.codec import encode
-from text2sql.datasets import DatabaseRegistry, load_benchmark, load_column_descriptions
+from text2sql.datasets import DatabaseRegistry, load_benchmark
 from text2sql.execution import db_stamp
-from text2sql.schema import introspect, render_schema_description
+from text2sql.schema import introspect, load_column_descriptions, render_schema_description
 
 DB_ID = "banking_system"
 # The banking fixture's cache file, with its descriptions, as written when
@@ -46,16 +46,17 @@ def introspected(monkeypatch) -> list[str]:
 
 @pytest.fixture()
 def db(banking_db, tmp_path):
-    """A copy of the banking database that a test may change."""
+    """A copy of the banking database, with its description CSVs, that a test may change."""
     path = tmp_path / "banking_system.sqlite"
     shutil.copyfile(banking_db, path)
+    write_banking_description_csvs(tmp_path)
     return path
 
 
-def load(path, descriptions=BANKING_DESCRIPTIONS):
+def load(path):
     """The schema as a fresh registry, like a new process, gets it."""
     registry = DatabaseRegistry()
-    registry.register(DB_ID, str(path), descriptions)
+    registry.register(DB_ID, str(path))
     return registry.get_schema(DB_ID)
 
 
@@ -68,7 +69,7 @@ class TestHit:
         load(db)
         hit = load(db)
         assert len(introspected) == 1
-        fresh = introspect(str(db), BANKING_DESCRIPTIONS)
+        fresh = introspect(str(db))
         assert hit == fresh
         assert json.dumps(hit, default=encode) == json.dumps(fresh, default=encode)
         assert render_schema_description(hit) == render_schema_description(fresh)
@@ -85,19 +86,21 @@ class TestHit:
         monkeypatch.chdir(db.parent)
         hit = load(db.name)
         assert len(introspected) == 1
-        assert hit == introspect(db.name, BANKING_DESCRIPTIONS)
+        assert hit == introspect(db.name)
 
     def test_file_of_the_earlier_introspection_hits(self, db, introspected):
         cached = json.loads(GOLDEN_CACHE.read_text(encoding="utf-8"))
+        # the body is as that code wrote it
         cached["header"]["db_stamp"] = list(db_stamp(str(db)))
-        # the body and a mapping's description digest are as that code wrote them
+        cached["header"]["descriptions_sha256"] = \
+            datasets._cache_header(str(db)).descriptions_sha256
         cached["header"]["format"] = datasets.SCHEMA_CACHE_FORMAT
         cache_file = datasets._cache_file(str(db))
         cache_file.parent.mkdir(parents=True)
         cache_file.write_text(json.dumps(cached), encoding="utf-8")
         hit = load(db)
         assert introspected == []
-        fresh = introspect(str(db), BANKING_DESCRIPTIONS)
+        fresh = introspect(str(db))
         assert json.dumps(hit, default=encode) == json.dumps(fresh, default=encode)
 
     def test_relative_cache_home_falls_back_to_dot_cache(self, db, tmp_path, monkeypatch):
@@ -145,7 +148,7 @@ class TestInvalidation:
         assert after != before
         schema = load(db)
         assert len(introspected) == 2
-        assert schema == introspect(str(db), BANKING_DESCRIPTIONS)
+        assert schema == introspect(str(db))
         assert len(cache_files(schema_cache_home)) == 1  # replaced, not added
         load(db)
         assert len(introspected) == 2
@@ -178,22 +181,14 @@ class TestInvalidation:
 
 @pytest.fixture()
 def parsed(monkeypatch) -> list[Path]:
-    """The directories ``datasets.load_column_descriptions`` was called with, in order."""
+    """The directories ``schema.load_column_descriptions`` was called with, in order."""
     calls = []
-    real = datasets.load_column_descriptions
 
     def counting(db_dir):
         calls.append(db_dir)
-        return real(db_dir)
-    monkeypatch.setattr(datasets, "load_column_descriptions", counting)
+        return load_column_descriptions(db_dir)
+    monkeypatch.setattr("text2sql.schema.load_column_descriptions", counting)
     return calls
-
-
-@pytest.fixture()
-def bird_db(banking_bird_root, tmp_path):
-    """A copy of the BIRD-layout banking database and its description CSVs."""
-    shutil.copytree(banking_bird_root / DB_ID, tmp_path / DB_ID)
-    return tmp_path / DB_ID / f"{DB_ID}.sqlite"
 
 
 def description_csv(db, table):
@@ -201,29 +196,29 @@ def description_csv(db, table):
 
 
 class TestDescriptionFiles:
-    """A database registered without descriptions is keyed by its CSVs' stamps."""
+    """A database's schema is keyed by the stamps of the CSVs beside it."""
 
     def reload_after(self, db, change, introspected):
         """The schema after ``change``, asserting that the change was a miss."""
-        before = load(db, None)
+        before = load(db)
         change()
-        after = load(db, None)
+        after = load(db)
         assert len(introspected) == 2
         assert after != before
-        assert after == introspect(str(db), load_column_descriptions(db.parent))
-        load(db, None)
+        assert after == introspect(str(db))
+        load(db)
         assert len(introspected) == 2
         return after
 
-    def test_a_hit_parses_no_csv(self, bird_db, parsed, introspected):
-        schema = load(bird_db, None)
-        assert parsed == [bird_db.parent]
+    def test_a_hit_parses_no_csv(self, db, parsed, introspected):
+        schema = load(db)
+        assert parsed == [db.parent]
         assert schema.table("client").column("birth_date").description == "birth date"
-        assert load(bird_db, None) == schema
+        assert load(db) == schema
         assert len(parsed) == len(introspected) == 1
 
-    def test_csv_edited_to_the_same_size(self, bird_db, introspected):
-        path = description_csv(bird_db, "client")
+    def test_csv_edited_to_the_same_size(self, db, introspected):
+        path = description_csv(db, "client")
 
         def edit():
             info = os.stat(path)
@@ -231,50 +226,48 @@ class TestDescriptionFiles:
             os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 1_000_000_000))
             after = os.stat(path)
             assert (after.st_ino, after.st_size) == (info.st_ino, info.st_size)
-        schema = self.reload_after(bird_db, edit, introspected)
+        schema = self.reload_after(db, edit, introspected)
         assert schema.table("client").column("birth_date").description == "BIRTH DATE"
 
-    def test_csv_added_for_a_table_that_had_none(self, bird_db, introspected):
-        path = description_csv(bird_db, "loan")
+    def test_csv_added_for_a_table_that_had_none(self, db, introspected):
+        path = description_csv(db, "loan")
         text = path.read_text()
         path.unlink()
-        schema = self.reload_after(bird_db, lambda: path.write_text(text), introspected)
+        schema = self.reload_after(db, lambda: path.write_text(text), introspected)
         assert schema.table("loan").column("status").description == \
             "the id number identifying the loan data"
 
-    def test_csv_deleted(self, bird_db, introspected):
-        schema = self.reload_after(bird_db, description_csv(bird_db, "client").unlink,
+    def test_csv_deleted(self, db, introspected):
+        schema = self.reload_after(db, description_csv(db, "client").unlink,
                                    introspected)
         assert schema.table("client").column("birth_date").description == ""
         assert schema.table("account").column("account_id").description == \
             "the id of the account"
 
-    def test_directory_removed(self, bird_db, introspected):
+    def test_directory_removed(self, db, introspected):
         def remove():
-            shutil.rmtree(bird_db.parent / "database_description")
-        schema = self.reload_after(bird_db, remove, introspected)
-        assert schema == introspect(str(bird_db))
+            shutil.rmtree(db.parent / "database_description")
+        schema = self.reload_after(db, remove, introspected)
+        assert schema == introspect(str(db))
 
-    @pytest.mark.parametrize("descriptions", [None, BANKING_DESCRIPTIONS],
-                             ids=["files", "mapping"])
     def test_file_of_format_1_is_a_miss_and_is_rewritten(
-            self, bird_db, descriptions, introspected, schema_cache_home):
+            self, db, introspected, schema_cache_home):
         cached = json.loads(GOLDEN_CACHE.read_text(encoding="utf-8"))
         assert cached["header"]["format"] == 1
-        cached["header"]["db_stamp"] = list(db_stamp(str(bird_db)))
+        cached["header"]["db_stamp"] = list(db_stamp(str(db)))
         [client] = [t for t in cached["schema"]["tables"] if t["name"] == "client"]
         [birth_date] = [c for c in client["columns"] if c["name"] == "birth_date"]
         birth_date["description"] = "stale"
-        cache_file = datasets._cache_file(str(bird_db))
+        cache_file = datasets._cache_file(str(db))
         cache_file.parent.mkdir(parents=True)
         cache_file.write_text(json.dumps(cached), encoding="utf-8")
-        schema = load(bird_db, descriptions)
+        schema = load(db)
         assert len(introspected) == 1
         assert schema.table("client").column("birth_date").description == "birth date"
         assert cache_files(schema_cache_home) == [cache_file]
         header = json.loads(cache_file.read_text(encoding="utf-8"))["header"]
         assert header["format"] == datasets.SCHEMA_CACHE_FORMAT
-        assert load(bird_db, descriptions) == schema
+        assert load(db) == schema
         assert len(introspected) == 1
 
 
@@ -304,21 +297,20 @@ class TestBadFiles:
         load(db)
         assert len(introspected) == 2
 
-    def test_unwritable_cache_misses_with_one_warning(self, banking_db, shop_db, tmp_path,
+    def test_unwritable_cache_misses_with_one_warning(self, db, shop_db, tmp_path,
                                                       monkeypatch, introspected, caplog):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
         registry = DatabaseRegistry()
-        registry.register(DB_ID, str(banking_db), BANKING_DESCRIPTIONS)
+        registry.register(DB_ID, str(db))
         registry.register("shop", str(shop_db))
         with caplog.at_level(logging.WARNING, logger="text2sql.datasets"):
             schemas = [registry.get_schema(DB_ID), registry.get_schema("shop")]
-        assert schemas == [introspect(str(banking_db), BANKING_DESCRIPTIONS),
-                           introspect(str(shop_db))]
+        assert schemas == [introspect(str(db)), introspect(str(shop_db))]
         assert len(caplog.records) == 1
         assert "schema cache not written" in caplog.records[0].getMessage()
-        load(banking_db)
+        load(db)
         assert len(introspected) == 3
 
 
@@ -333,7 +325,7 @@ class TestOnceGuard:
             return real(*args, **kwargs)
         monkeypatch.setattr(datasets, "introspect", introspect_together)
         registry = DatabaseRegistry()
-        registry.register(DB_ID, str(banking_db), BANKING_DESCRIPTIONS)
+        registry.register(DB_ID, str(banking_db))
         registry.register("shop", str(shop_db))
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [pool.submit(registry.get_schema, d) for d in (DB_ID, "shop")]
@@ -352,7 +344,7 @@ class TestOnceGuard:
             return real(*args, **kwargs)
         monkeypatch.setattr(datasets, "introspect", slow_introspect)
         registry = DatabaseRegistry()
-        registry.register(DB_ID, str(db), BANKING_DESCRIPTIONS)
+        registry.register(DB_ID, str(db))
         registry.register("shop", str(shop_db))
         start = threading.Barrier(threads, timeout=5)
 
