@@ -128,7 +128,8 @@ class ScriptedBackend:
 class HttpBackend:
     """Client for any endpoint speaking the common chat-completion protocol.
 
-    Transient failures (timeouts, connection errors, 429, 5xx) are retried
+    Transient failures (any ``requests`` error from the post: a timeout, a
+    refused connection, a body cut off mid-transfer; 429, 5xx) are retried
     with exponential backoff up to ``MAX_ATTEMPTS`` total attempts; anything
     else raises BackendUnavailable immediately. The bearer token is read from
     the environment at request time so credentials never live in config files.
@@ -179,7 +180,7 @@ class HttpBackend:
                 resp = self._session.post(self.endpoint, json=payload,
                                           headers=self._headers(),
                                           timeout=REQUEST_TIMEOUT_S)
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except requests.RequestException as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
             else:
                 if resp.status_code == 200:

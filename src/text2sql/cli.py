@@ -7,7 +7,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import click
 
@@ -147,6 +147,13 @@ def _benchmark(name: str, items_path: str, db_root: str):
         raise click.UsageError(f"bad items file {items_path}: {exc}") from None
 
 
+def _write(path, chunks: Iterable[str]) -> None:
+    """Write an output file chunk by chunk, creating its directory as a journal append does."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
+
+
 def _backend_options(fn):
     options = [
         click.option("--config", "config_path", type=click.Path(exists=True),
@@ -198,8 +205,7 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
     state = pipe.run_question(task)
 
     if trace_path:
-        Path(trace_path).write_text(json.dumps(state, default=encode, indent=2,
-                                               sort_keys=True), encoding="utf-8")
+        _write(trace_path, [json.dumps(state, default=encode, indent=2, sort_keys=True)])
     if state.error:
         click.echo(f"error: {state.error}", err=True)
 
@@ -328,8 +334,8 @@ def cmd_eval(predictions_path, benchmark_name, items_path, db_root, out_prefix,
 
     json_path = Path(f"{out_prefix}.json")
     text_path = Path(f"{out_prefix}.txt")
-    json_path.write_text(report.to_json(), encoding="utf-8")
-    text_path.write_text(report.to_text() + "\n", encoding="utf-8")
+    _write(json_path, [report.to_json()])
+    _write(text_path, [report.to_text(), "\n"])
     click.echo(f"report written to {json_path} and {text_path}", err=True)
     click.echo(report.to_json() if json_output else report.to_text())
 
@@ -353,15 +359,18 @@ def cmd_export_sft(journal_path, benchmark_name, items_path, db_root, out_path,
     gold_lookup = {t.task_id: t.gold_sql for t in bench.tasks if t.gold_sql}
     states = list(Journal(journal_path).load().values())
     try:
+        for state in states:  # a task --items lacks finds its database as an item's does
+            if state.final_sql:
+                bench.registry().register_under(Path(db_root), state.task.db_id,
+                                                f"task {state.task.task_id}")
         records = export_instruction_data(states, bench.registry(),
                                           gold_lookup=gold_lookup,
                                           timeout=settings["timeout"])
-    except MissingGold as exc:
+    except (MissingDatabase, MissingGold) as exc:
         raise click.UsageError(str(exc))
 
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, default=encode, sort_keys=True) + "\n")
+    _write(out_path, (json.dumps(record, default=encode, sort_keys=True) + "\n"
+                      for record in records))
 
     counts: dict[str, int] = {}
     for record in records:

@@ -28,7 +28,7 @@ SCHEMA_CACHE_FORMAT = 3
 
 
 class MissingDatabase(Exception):
-    """A benchmark item names a database with no file under the database root."""
+    """A benchmark item or a journaled task names a database with no file under the root."""
 
 
 class MalformedItem(Exception):
@@ -136,6 +136,14 @@ class DatabaseRegistry:
     def register(self, db_id: str, path: str) -> None:
         self._paths[db_id] = str(path)
 
+    def register_under(self, db_root: Path, db_id: str, where: str) -> None:
+        """Register ``db_id``, if new, at its file under ``db_root``; MissingDatabase cites ``where``."""
+        if db_id not in self._paths:
+            db_file = db_root / db_id / f"{db_id}.sqlite"
+            if not db_file.exists():
+                raise MissingDatabase(f"{where}: no database file for {db_id!r} at {db_file}")
+            self._paths[db_id] = str(db_file)
+
     def db_ids(self) -> list[str]:
         return sorted(self._paths)
 
@@ -198,10 +206,6 @@ class _Item:
     query: Optional[str] = None
 
 
-def _database_file(db_root: Path, db_id: str) -> Path:
-    return db_root / db_id / f"{db_id}.sqlite"
-
-
 def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
     """Load a benchmark item file and register every referenced database."""
     if name not in (BIRD, SPIDER):
@@ -224,7 +228,6 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
     read_item = decoder(_Item)
     tasks: list[Task] = []
     registry = DatabaseRegistry()
-    registered: set[str] = set()
     task_ids: set[str] = set()
     for idx, value in enumerate(items):
         try:
@@ -242,11 +245,6 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
         if task.task_id in task_ids:  # every command keys its states by task id
             raise MalformedItem(f"item {idx}: task id {task.task_id!r} is used twice")
         task_ids.add(task.task_id)
-        if task.db_id not in registered:
-            db_file = _database_file(root, task.db_id)
-            if not db_file.exists():
-                raise MissingDatabase(f"item {idx}: no database file at {db_file}")
-            registry.register(task.db_id, str(db_file))
-            registered.add(task.db_id)
+        registry.register_under(root, task.db_id, f"item {idx}")
         tasks.append(task)
     return Benchmark(tasks=tasks, _registry=registry)

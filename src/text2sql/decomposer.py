@@ -7,7 +7,8 @@ import re
 from dataclasses import dataclass
 
 from .backend import ChatRequest
-from .prompts import build_decomposer_user_text
+from .prompts import (DECOMPOSER_NEW_ITEM, DECOMPOSER_PREAMBLE, DECOMPOSER_SHOTS,
+                      SECTION_SEPARATOR, fill)
 
 logger = logging.getLogger(__name__)
 
@@ -42,8 +43,12 @@ class DecompositionResult:
 
 def build_decomposer_prompt(schema_text: str, fk_text: str, question: str,
                             evidence: str = "", shots: int = 2) -> ChatRequest:
-    return ChatRequest(user_text=build_decomposer_user_text(
-        schema_text, fk_text, question, evidence, shots))
+    if shots not in (0, 1, 2):
+        raise ValueError("shots must be 0, 1, or 2")
+    new_item = fill(DECOMPOSER_NEW_ITEM, desc_str=schema_text, fk_str=fk_text,
+                    query=question, evidence=evidence)
+    return ChatRequest(user_text=SECTION_SEPARATOR.join(
+        [DECOMPOSER_PREAMBLE, *DECOMPOSER_SHOTS[:shots], new_item]))
 
 
 def extract_sql_blocks(text: str) -> list[tuple[int, int, str]]:

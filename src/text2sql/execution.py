@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import os
 import sqlite3
 import threading
@@ -82,13 +81,6 @@ def db_stamp(db_path: str) -> Optional[tuple[int, int, int]]:
     return (info.st_ino, info.st_size, info.st_mtime_ns)
 
 
-@functools.lru_cache(maxsize=1024)
-def _readonly_uri(cwd: str, db_path: str) -> str:
-    # percent-quoted, and resolved once per (cwd, path): resolving costs a
-    # system call per component
-    return (Path(cwd) / db_path).resolve().as_uri() + "?mode=ro"
-
-
 # Authorizer actions a query may take, and the two pragmas that read what
 # sqlite_master already shows; anything else (a write, BEGIN, ATTACH, another
 # PRAGMA, VACUUM, CREATE TEMP ...) is refused before the statement runs.
@@ -147,14 +139,15 @@ def _past_deadline() -> bool:
 def _connection(db_path: str) -> sqlite3.Connection:
     """The guarded connection of this thread to ``db_path``, reopened when the file changed.
 
-    The key holds the file's device and inode, so a file replaced at the
-    same path gets a new connection; the old one is closed.
+    The key is the file's device and inode, which the open connection keeps
+    from reuse: a file replaced at the same path gets a new connection (the
+    old one is closed), and two names of one file share one.
     """
-    uri = _readonly_uri(os.getcwd(), db_path)
     info = os.stat(db_path)
-    key = (uri, info.st_dev, info.st_ino)
+    key = (info.st_dev, info.st_ino)
     if _slot.guarded is None or _slot.guarded.key != key:
         _slot.guarded = None
+        uri = Path(db_path).resolve().as_uri() + "?mode=ro"  # percent-quoted
         conn = sqlite3.connect(uri, uri=True, isolation_level=None)
         conn.set_authorizer(_authorize)
         conn.set_progress_handler(_past_deadline, _PROGRESS_STEPS)

@@ -284,14 +284,3 @@ Now please fixup old SQL and generate new SQL again.
 
 
 SECTION_SEPARATOR = "\n\n==========\n\n"
-
-
-def build_decomposer_user_text(desc_str: str, fk_str: str, query: str,
-                               evidence: str, shots: int = 2) -> str:
-    if shots not in (0, 1, 2):
-        raise ValueError("shots must be 0, 1, or 2")
-    parts = [DECOMPOSER_PREAMBLE]
-    parts.extend(DECOMPOSER_SHOTS[:shots])
-    parts.append(fill(DECOMPOSER_NEW_ITEM, desc_str=desc_str, fk_str=fk_str,
-                      query=query, evidence=evidence))
-    return SECTION_SEPARATOR.join(parts)

@@ -212,6 +212,22 @@ class TestHttpBackend:
         backend = self.make_backend(session)
         assert backend.complete(make_request()).text == "fine"
 
+    def test_retries_on_cut_off_body(self):
+        # subclasses neither requests.ConnectionError nor requests.Timeout
+        session = _FakeSession([
+            requests.exceptions.ChunkedEncodingError("connection broken"),
+            _FakeResponse(200, ok_payload()),
+        ])
+        backend = self.make_backend(session)
+        assert backend.complete(make_request()).text == "fine"
+
+    def test_cut_off_body_gives_up_after_cap(self):
+        session = _FakeSession([requests.exceptions.ChunkedEncodingError("broken")] * 3)
+        backend = self.make_backend(session)
+        with pytest.raises(BackendUnavailable, match="ChunkedEncodingError: broken"):
+            backend.complete(make_request())
+        assert len(session.calls) == 3
+
     def test_client_error_fails_fast(self):
         session = _FakeSession([_FakeResponse(401, text="bad key")])
         backend = self.make_backend(session)

@@ -130,6 +130,17 @@ class TestAsk:
         assert state["pruning"]["verdicts"]["loan"] == "drop_all"
         assert state["final_sql"] == FINAL_GENDER_SQL
 
+    def test_trace_into_a_new_directory(self, runner, banking_db_file, script_config,
+                                        tmp_path):
+        trace = tmp_path / "new" / "dir" / "trace.json"
+        result = runner.invoke(main, [
+            "ask", "--db", banking_db_file, "--question", QUESTION,
+            "--evidence", EVIDENCE, "--config", script_config, "--trace", str(trace),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.strip() == FINAL_GENDER_SQL
+        assert json.loads(trace.read_text(encoding="utf-8"))["final_sql"] == FINAL_GENDER_SQL
+
     def test_json_output(self, runner, banking_db_file, script_config):
         result = runner.invoke(main, [
             "ask", "--db", banking_db_file, "--question", QUESTION,
@@ -339,6 +350,19 @@ class TestEval:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["ex_pct"] == 100.0
 
+    def test_report_into_a_new_directory(self, runner, tmp_path, shop_db, library_db):
+        root, items_path, pred_path = self.write_benchmark(tmp_path, shop_db, library_db)
+        out = tmp_path / "new" / "dir" / "report"
+        result = runner.invoke(main, [
+            "eval", "--predictions", str(pred_path), "--benchmark", "bird",
+            "--items", str(items_path), "--db-root", str(root),
+            "--out", str(out), "--no-ves", "--json",
+        ])
+        assert result.exit_code == 0, result.output
+        assert (json.loads((out.parent / "report.json").read_text())
+                == json.loads(result.stdout))
+        assert (out.parent / "report.txt").exists()
+
     def test_mixed_fixture_matches_hand_tally(self, runner, tmp_path, shop_db, library_db):
         root, items_path, pred_path = self.write_benchmark(tmp_path, shop_db, library_db)
         out = tmp_path / "report"
@@ -455,6 +479,69 @@ class TestExportSft:
         # items 0 and 2 pass, each fired selector + decomposer
         assert summary["records"] == len(lines) == 4
         assert summary["per_difficulty"] == {"simple": 2, "challenging": 2}
+
+    def test_records_into_a_new_directory(self, runner, banking_bird_root,
+                                          bird_items_file, script_config, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        common = ["--benchmark", "bird", "--items", bird_items_file,
+                  "--db-root", str(banking_bird_root)]
+        runner.invoke(main, ["bench", *common, "--journal", str(journal),
+                             "--config", script_config])
+        out = tmp_path / "new" / "dir" / "records.jsonl"
+        result = runner.invoke(main, ["export-sft", "--journal", str(journal), *common,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()) == 4
+
+    def two_database_journal(self, runner, banking_bird_root, script_config, tmp_path):
+        """A root holding d1 and d2 (both the banking database), a journal of one
+        question on each, and an items file that names only d1's."""
+        root = tmp_path / "root"
+        for db_id in ("d1", "d2"):
+            shutil.copytree(banking_bird_root / "banking_system", root / db_id)
+            (root / db_id / "banking_system.sqlite").rename(root / db_id / f"{db_id}.sqlite")
+        items = [{"question_id": i, "db_id": db_id, "question": QUESTION,
+                  "evidence": EVIDENCE, "SQL": "SELECT 'F'", "difficulty": "simple"}
+                 for i, db_id in enumerate(("d1", "d2"))]
+        both, d1_only = tmp_path / "both.json", tmp_path / "d1.json"
+        both.write_text(json.dumps(items), encoding="utf-8")
+        d1_only.write_text(json.dumps(items[:1]), encoding="utf-8")
+        journal = tmp_path / "journal.jsonl"
+        result = runner.invoke(main, [
+            "bench", "--benchmark", "bird", "--items", str(both), "--db-root", str(root),
+            "--journal", str(journal), "--config", script_config,
+        ])
+        assert result.exit_code == 0, result.output
+        return root, d1_only, journal
+
+    def export(self, runner, root, items, journal, out):
+        return runner.invoke(main, [
+            "export-sft", "--journal", str(journal), "--benchmark", "bird",
+            "--items", str(items), "--db-root", str(root), "--out", str(out), "--json",
+        ])
+
+    def test_task_the_items_lack_reads_its_database_under_the_root(
+            self, runner, banking_bird_root, script_config, tmp_path):
+        root, items, journal = self.two_database_journal(runner, banking_bird_root,
+                                                         script_config, tmp_path)
+        out = tmp_path / "records.jsonl"
+        result = self.export(runner, root, items, journal, out)
+        assert result.exit_code == 0, result.output
+        # both questions pass against the gold, each fired selector + decomposer
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert sorted(r["db_id"] for r in records) == ["d1", "d1", "d2", "d2"]
+
+    def test_task_the_items_lack_without_a_database_exits_two(
+            self, runner, banking_bird_root, script_config, tmp_path):
+        root, items, journal = self.two_database_journal(runner, banking_bird_root,
+                                                         script_config, tmp_path)
+        shutil.rmtree(root / "d2")
+        out = tmp_path / "records.jsonl"
+        result = self.export(runner, root, items, journal, out)
+        assert result.exit_code == 2, result.output
+        assert "task 1: no database file for 'd2'" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_missing_gold_exit_two(self, runner, banking_bird_root, script_config,
                                    tmp_path):

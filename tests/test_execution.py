@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from text2sql import execution
 from text2sql.clauses import has_top_level_order_by
 from text2sql.evaluation import rows_equal
 from text2sql.execution import ExecStatus, ExecutionOutcome, execute_sql
@@ -238,6 +239,36 @@ class TestGuardedConnection:
         assert execute_sql(db, "SELECT x FROM t").rows == ((1,),)
         os.replace(_make_db(tmp_path / "new.sqlite", [7, 8]), db)
         assert execute_sql(db, "SELECT x FROM t ORDER BY x").rows == ((7,), (8,))
+
+    def test_absolute_path_runs_from_a_removed_working_directory(self, tmp_path,
+                                                                  monkeypatch):
+        db = _make_db(tmp_path / "db.sqlite", [1, 2])
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        outcome = execute_sql(db, "SELECT x FROM t ORDER BY x")
+        assert outcome.status is ExecStatus.OK
+        assert outcome.rows == ((1,), (2,))
+
+    def test_hard_link_shares_the_connection(self, tmp_path):
+        db = _make_db(tmp_path / "db.sqlite", [1])
+        link = tmp_path / "link.sqlite"
+        os.link(db, link)
+        assert execute_sql(db, "SELECT x FROM t").rows == ((1,),)
+        guarded = execution._slot.guarded
+        assert execute_sql(str(link), "SELECT x FROM t").rows == ((1,),)
+        assert execution._slot.guarded is guarded
+
+    def test_relative_path_names_the_file_of_the_working_directory(self, tmp_path,
+                                                                   monkeypatch):
+        for name, values in (("a", [1]), ("b", [2, 3])):
+            (tmp_path / name).mkdir()
+            _make_db(tmp_path / name / "db.sqlite", values)
+        monkeypatch.chdir(tmp_path / "a")
+        assert execute_sql("db.sqlite", "SELECT x FROM t").rows == ((1,),)
+        monkeypatch.chdir(tmp_path / "b")
+        assert execute_sql("db.sqlite", "SELECT x FROM t ORDER BY x").rows == ((2,), (3,))
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_dropped_connections_are_closed(self, tmp_path):

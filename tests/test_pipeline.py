@@ -11,6 +11,7 @@ import types
 from pathlib import Path
 
 import pytest
+import requests
 
 from text2sql import evaluation, pipeline, refiner
 from text2sql.backend import HttpBackend, ScriptedBackend
@@ -187,6 +188,15 @@ class TestRunQuestion:
         pipe = Pipeline(backend, registry, PipelineConfig())
         state = pipe.run_question(banking_task())
         assert state.error is not None
+
+    def test_cut_off_body_is_a_backend_failure(self, registry):
+        def post(*args, **kwargs):
+            raise requests.exceptions.ChunkedEncodingError("connection broken")
+        backend = HttpBackend("http://llm.test/v1/chat", sleep=lambda s: None,
+                              session=types.SimpleNamespace(post=post))
+        state = Pipeline(backend, registry, PipelineConfig()).run_question(banking_task())
+        # a resume runs the question again (RETRIED_ERRORS)
+        assert state.error.startswith("backend failure:")
 
     def test_unknown_db_contained(self, registry, scripted_backend):
         pipe = Pipeline(scripted_backend(), registry, PipelineConfig())
