@@ -96,7 +96,7 @@ class ScriptedBackend:
         entries: list[tuple[str, str]] = []
         needle = None
         lines: list[str] = []
-        for raw in Path(path).read_text(encoding="utf-8").splitlines(keepends=True):
+        for raw in Path(path).read_text(encoding="utf-8-sig").splitlines(keepends=True):
             if raw.startswith(SCRIPT_ENTRY_PREFIX):
                 if needle is not None:
                     entries.append((needle, "".join(lines).rstrip("\n")))

@@ -29,7 +29,6 @@ from .datasets import (
 )
 # exec_match has no caller here: it stays as cli.exec_match for the benchmark's tracer
 from .evaluation import build_report, exec_match, score_item  # noqa: F401
-from .execution import execute_sql
 from .pipeline import (
     Journal,
     MissingGold,
@@ -63,11 +62,11 @@ def _coerce(key: str, value):
     """``value`` read as the type of the key's default, or a usage error.
 
     A bool is not a number, a number with a fractional part is not an int,
-    a string key takes a string or null, and a bool is spelled as one of
-    ``_BOOL_WORDS``.
+    a string key takes a string, or null (unset) where its default is empty,
+    and a bool is spelled as one of ``_BOOL_WORDS``.
     """
     kind = type(_DEFAULTS[key])
-    if type(value) is kind or (kind is str and value is None):
+    if type(value) is kind or (value is None and _DEFAULTS[key] == ""):
         return value
     if kind is bool:
         word = str(value).strip().lower()
@@ -87,7 +86,7 @@ def resolve_settings(config_path: Optional[str], flags: dict) -> dict:
     settings = dict(_DEFAULTS)
     if config_path:
         try:
-            with open(config_path, encoding="utf-8") as handle:
+            with open(config_path, encoding="utf-8-sig") as handle:
                 file_settings = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot read config file {config_path}: {exc}")
@@ -210,11 +209,8 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
         click.echo(f"error: {state.error}", err=True)
 
     rows = None
-    if execute_flag and state.final_sql:
-        # the refiner's own run of the final SQL; none when its backend failed
-        outcome = state.outcome or execute_sql(db_path, state.final_sql,
-                                               timeout=settings["timeout"])
-        rows = [list(r) for r in outcome.rows] if outcome.rows is not None else None
+    if execute_flag and state.outcome and state.outcome.rows is not None:
+        rows = [list(r) for r in state.outcome.rows]  # the refiner's own run of the final SQL
 
     if json_output:
         click.echo(json.dumps({"sql": state.final_sql, "rows": rows,
@@ -276,7 +272,7 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
 
 def _load_predictions(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise click.UsageError(f"cannot read predictions: {exc}")
     if not text.strip():

@@ -217,7 +217,7 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
     if not root.is_dir():
         raise FileNotFoundError(db_root)
 
-    with open(items_file, encoding="utf-8", errors="replace") as handle:
+    with open(items_file, encoding="utf-8-sig", errors="replace") as handle:
         try:
             items = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -164,16 +164,17 @@ class Pipeline:
             decomposition = parse_decomposition(response.text)
             state.steps = list(decomposition.steps)
 
-            try:
-                state.final_sql, state.refine_attempts, state.outcome = refine_loop(
-                    lambda request: self._complete(REFINER, request, state.llm_calls),
-                    db_path, task.question, task.evidence,
-                    desc_str, fk_str, decomposition.final_sql,
-                    max_rounds=config.max_rounds, timeout=config.timeout,
-                    clock=self.clock)
-            except BackendUnavailable as exc:
-                state.error = f"refiner backend failure: {exc}"
-                state.final_sql = decomposition.final_sql
+            def refine(request) -> ChatResponse:
+                try:  # a failure ends the loop as a reply with no SQL does
+                    return self._complete(REFINER, request, state.llm_calls)
+                except BackendUnavailable as exc:
+                    state.error = f"refiner backend failure: {exc}"
+                    return ChatResponse("")
+
+            state.final_sql, state.refine_attempts, state.outcome = refine_loop(
+                refine, db_path, task.question, task.evidence,
+                desc_str, fk_str, decomposition.final_sql,
+                max_rounds=config.max_rounds, timeout=config.timeout, clock=self.clock)
         except NoSqlFound as exc:
             state.error = f"decomposer produced no SQL: {exc}"
         except BackendUnavailable as exc:
@@ -188,9 +189,9 @@ class Pipeline:
         """``run_question``, then the EX verdict of its final SQL when the task has gold.
 
         The verdict judges the refiner's outcome of the final SQL and runs only
-        the gold, or both when there is none. The stamp is taken before the
-        question, so it predates every execution the verdict rests on. Scoring
-        runs on the worker but outside the question's own time.
+        the gold; a state with no outcome has no final SQL, a miss. The stamp is
+        taken before the question, so it predates every execution the verdict
+        rests on. Scoring runs on the worker but outside the question's own time.
         """
         gold = task.gold_sql
         try:
@@ -202,9 +203,8 @@ class Pipeline:
         outcome, state.outcome = state.outcome, None  # no state keeps rows past here
         if stamp is not None:
             try:
-                ex = (exec_match(state.final_sql, gold, db_path, self.config.timeout)
-                      if outcome is None else
-                      outcome_matches(outcome, gold, db_path, self.config.timeout))
+                ex = outcome is not None and outcome_matches(outcome, gold, db_path,
+                                                             self.config.timeout)
                 state.ex_verdict = ExVerdict(ex, stamp)
             except Exception:  # no verdict: the readers score the state themselves
                 logger.exception("scoring task %s failed", task.task_id)
@@ -217,15 +217,19 @@ class Pipeline:
 
         Results come back in input order regardless of completion order, each
         with its EX verdict when its task has gold SQL. With a journal path,
-        finished states are appended as JSON lines and reruns skip task ids
-        already present, except those that failed on the backend
-        (``RETRIED_ERRORS``); their new state is appended after the old one.
+        finished states are appended as JSON lines. A rerun reuses the state
+        journaled for a task id when it asked the same question (database,
+        question and evidence; its gold may differ) and did not fail on the
+        backend (``RETRIED_ERRORS``); any other task runs, and its new state is
+        appended after the old one.
         """
         journal = Journal(journal_path) if journal_path else None
-        batch = {t.task_id for t in tasks}
+        asks = {t.task_id: (t.db_id, t.question, t.evidence) for t in tasks}
         done = {task_id: state
                 for task_id, state in (journal.load() if journal else {}).items()
-                if task_id in batch and not (state.error or "").startswith(RETRIED_ERRORS)}
+                if asks.get(task_id) == (state.task.db_id, state.task.question,
+                                         state.task.evidence)
+                and not (state.error or "").startswith(RETRIED_ERRORS)}
 
         pending = [t for t in tasks if t.task_id not in done]
         results: dict[str, PipelineState] = dict(done)
@@ -260,7 +264,7 @@ class Journal:
             return states
         skipped = 0
         decode = decoder(PipelineState)
-        with open(self.path, encoding="utf-8") as handle:
+        with open(self.path, encoding="utf-8-sig") as handle:
             for line in handle:
                 if not line.strip():
                     continue

@@ -133,7 +133,7 @@ def scenarios(draw):
         "prune": draw(st.booleans()),
         "n_steps": draw(st.integers(min_value=1, max_value=5)),
         "initial_kind": draw(st.sampled_from(["good", "empty", "broken"])),
-        "fix_kind": draw(st.sampled_from(["good", "same_broken", "no_sql"])),
+        "fix_kind": draw(st.sampled_from(["good", "same_broken", "no_sql", "backend_down"])),
         "max_rounds": draw(st.integers(min_value=1, max_value=4)),
         "drop_loan": draw(st.booleans()),
     }
@@ -156,18 +156,18 @@ def scenario_backend(scenario, context_window):
                  f"```sql\n{final}\n```\n")
     decomposer_response = "\n".join(parts)
 
-    if scenario["fix_kind"] == "good":
-        refiner_response = f"```sql\n{GOOD_SQL}\n```"
-    elif scenario["fix_kind"] == "same_broken":
-        refiner_response = f"```sql\n{final}\n```"
-    else:
-        refiner_response = "cannot repair this query"
-
-    return ScriptedBackend([
+    entries = [
         ("Discard any table schema", selector_response),
         ("decompose the question into subquestions", decomposer_response),
-        ("fix up SQL", refiner_response),
-    ], strict=True, context_window=context_window)
+    ]
+    if scenario["fix_kind"] == "good":
+        entries.append(("fix up SQL", f"```sql\n{GOOD_SQL}\n```"))
+    elif scenario["fix_kind"] == "same_broken":
+        entries.append(("fix up SQL", f"```sql\n{final}\n```"))
+    elif scenario["fix_kind"] == "no_sql":
+        entries.append(("fix up SQL", "cannot repair this query"))
+    # backend_down: no refiner entry, so every refiner request is a ScriptMiss
+    return ScriptedBackend(entries, strict=True, context_window=context_window)
 
 
 def check_one_scenario(scenario, registry: DatabaseRegistry):
@@ -185,7 +185,11 @@ def check_one_scenario(scenario, registry: DatabaseRegistry):
     state = pipe.run_question(Task(task_id="0", db_id="banking_system",
                                    question=QUESTION))
 
-    assert state.error is None, state.error
+    # a refiner backend failure ends the loop on the last candidate it ran
+    if scenario["fix_kind"] == "backend_down" and scenario["initial_kind"] != "good":
+        assert state.error.startswith("refiner backend failure:"), state.error
+    else:
+        assert state.error is None, state.error
 
     # selector bypass rule: pruning appears in the trace iff the size gate fired
     assert (state.pruning is not None) == scenario["prune"]
@@ -216,8 +220,9 @@ def check_one_scenario(scenario, registry: DatabaseRegistry):
         assert len(state.refine_attempts) == 1
         assert state.final_sql == last_sub_sql
 
-    # the returned SQL is the last candidate the loop produced
+    # the returned SQL is the last candidate the loop produced, with its outcome
     assert state.final_sql == state.refine_attempts[-1].input_sql
+    assert state.outcome.status is state.refine_attempts[-1].outcome.status
 
 
 def make_invariant_check(registry: DatabaseRegistry, max_examples: int = 200):

@@ -89,9 +89,10 @@ class TestAsk:
     def ask_execute(self, runner, monkeypatch, args):
         """The rows ``ask --execute --json`` prints, and the SQL of each execute_sql call."""
         runs = []
-        for module in (cli, refiner, evaluation):
-            monkeypatch.setattr(module, "execute_sql", lambda *a, run=module.execute_sql, **kw:
-                                runs.append(a[1]) or run(*a, **kw))
+        for module in (cli, refiner, evaluation):  # each module that binds the primitive
+            if hasattr(module, "execute_sql"):
+                monkeypatch.setattr(module, "execute_sql", lambda *a, run=module.execute_sql,
+                                    **kw: runs.append(a[1]) or run(*a, **kw))
         result = runner.invoke(main, ["ask", "--execute", "--json", *args])
         assert result.exit_code == 0, result.output
         return json.loads(result.stdout)["rows"], runs
@@ -115,7 +116,7 @@ class TestAsk:
             "--db", banking_db_file, "--question", "q", "--backend", "script",
             "--script", str(script)])
         assert rows == []
-        assert runs == [empty, empty]
+        assert runs == [empty]  # the refiner's run of the SQL it stopped on
 
     def test_trace_carries_pruning_decision(self, runner, banking_db_file,
                                             script_config, tmp_path):
@@ -197,6 +198,9 @@ class TestSettings:
         ({"model": 5}, {}, "model"),
         ({"script_path": False}, {}, "script_path"),
         ({"backend": "http", "endpoint": "llm.example.com/v1/chat"}, {}, "endpoint"),
+        ({"model": None}, {}, "model"),
+        ({"api_key_env": None}, {}, "api_key_env"),
+        ({"backend": None}, {}, "backend"),
     ])
     def test_bad_value_exits_two(self, runner, banking_bird_root, bird_items_file,
                                  script_config, tmp_path, overrides, env, key):
@@ -636,6 +640,36 @@ class TestBadItemsFile:
         self.run_each_command(runner, banking_bird_root, script_config, tmp_path,
                               json.dumps(items),
                               expect=f"item 1: task id '{task_id}' is used twice")
+
+
+class TestByteOrderMark:
+    """A leading byte-order mark, as Windows editors write, is dropped from each input file."""
+
+    @pytest.mark.parametrize("which", ["items", "config", "predictions", "script"])
+    def test_a_leading_bom_is_dropped(self, runner, banking_bird_root, bird_items_file,
+                                      script_config, tmp_path, which):
+        config = json.loads(Path(script_config).read_text(encoding="utf-8"))
+        files = {
+            "items": Path(bird_items_file).read_text(encoding="utf-8"),
+            "predictions": json.dumps({"0": "SELECT 'F'", "1": "SELECT 'F'",
+                                       "2": "SELECT 'F'"}),
+            "script": Path(config["script_path"]).read_text(encoding="utf-8"),
+        }
+        paths = {name: tmp_path / f"{name}.in" for name in (*files, "config")}
+        files["config"] = json.dumps({**config, "script_path": str(paths["script"])})
+        for name, text in files.items():
+            paths[name].write_text(("\ufeff" if name == which else "") + text,
+                                   encoding="utf-8")
+        common = ["--benchmark", "bird", "--items", str(paths["items"]),
+                  "--db-root", str(banking_bird_root), "--json"]
+        bench = runner.invoke(main, ["bench", *common, "--config", str(paths["config"]),
+                                     "--journal", str(tmp_path / "journal.jsonl")])
+        assert bench.exit_code == 0, bench.output
+        assert abs(json.loads(bench.stdout)["ex_pct"] - 200.0 / 3) < 1e-9
+        scored = runner.invoke(main, ["eval", *common, "--predictions", str(paths["predictions"]),
+                                      "--out", str(tmp_path / "report"), "--no-ves"])
+        assert scored.exit_code == 0, scored.output
+        assert abs(json.loads(scored.stdout)["ex_pct"] - 200.0 / 3) < 1e-9
 
 
 def _no_sql(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 import requests
 
 from text2sql import evaluation, pipeline, refiner
-from text2sql.backend import HttpBackend, ScriptedBackend
+from text2sql.backend import BackendUnavailable, ChatResponse, HttpBackend, ScriptedBackend
 from text2sql.codec import decoder, encode
 from text2sql.datasets import DatabaseRegistry, Task
 from text2sql.execution import DEFAULT_TIMEOUT, ExecStatus, db_stamp
@@ -294,6 +294,43 @@ class TestRunBatch:
         reloaded = Journal(journal_path).load()
         assert [reloaded[t.task_id].error for t in tasks] == [None, None, errors[2]]
 
+    @pytest.mark.parametrize("change", [
+        {"question": "How many clients are there?"}, {"evidence": ""}, {"db_id": "banking_copy"},
+    ])
+    def test_resume_reruns_a_task_that_asks_another_question(self, registry, scripted_backend,
+                                                             tmp_path, change):
+        registry.register("banking_copy", registry.path("banking_system"))
+        journal = str(tmp_path / "journal.jsonl")
+        Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig()).run_batch(
+            [banking_task(gold="SELECT 'F'")], journal_path=journal)
+
+        calls = []
+        backend = scripted_backend(32768, strict=False)
+        original = backend.complete
+        backend.complete = lambda req: calls.append(1) or original(req)
+        asked = dataclasses.replace(banking_task(gold="SELECT 'F'"), **change)
+        [state] = Pipeline(backend, registry, PipelineConfig()).run_batch(
+            [asked], journal_path=journal)
+        assert calls  # the journaled answer is to another question
+        assert state.task == asked
+        assert Journal(journal).load()["0"].task == asked
+
+    def test_resume_reuses_a_state_whose_gold_changed(self, registry, scripted_backend,
+                                                      tmp_path):
+        journal = str(tmp_path / "journal.jsonl")
+        pipe = Pipeline(scripted_backend(32768, strict=False), registry, PipelineConfig())
+        [first] = pipe.run_batch([banking_task(gold="SELECT 'M'")], journal_path=journal)
+
+        calls = []
+        backend = scripted_backend(32768, strict=False)
+        backend.complete = lambda req: calls.append(1)
+        corrected = dataclasses.replace(banking_task(gold="SELECT 'F'"), difficulty="hard")
+        [state] = Pipeline(backend, registry, PipelineConfig()).run_batch(
+            [corrected], journal_path=journal)
+        assert calls == []
+        assert line(state) == line(first)
+        assert scored_ex(state, registry.path("banking_system"), "SELECT 'F'") is True
+
     def test_resume_after_a_torn_line_keeps_every_new_state(self, registry,
                                                             scripted_backend, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
@@ -366,7 +403,32 @@ class TestRunBatch:
         [state] = pipe.run_batch([banking_task(gold="SELECT 'F'")])
         assert state.error.startswith("refiner backend failure")
         assert state.ex_verdict.ex is False
-        assert runs == [("refiner", empty), ("evaluation", empty), ("evaluation", "SELECT 'F'")]
+        assert runs == [("refiner", empty), ("evaluation", "SELECT 'F'")]  # the refiner's outcome
+
+    def test_a_refiner_failure_keeps_the_rounds_it_ran(self, registry, monkeypatch, tmp_path):
+        broken = "SELECT gendr FROM client"
+        empty = "SELECT gender FROM client WHERE gender = 'Q'"
+        replies = iter([f"```sql\n{broken}\n```", f"```sql\n{empty}\n```"])
+
+        def complete(request):  # decomposer, refiner round 1, then a failure in round 2
+            reply = next(replies, None)
+            if reply is None:
+                raise BackendUnavailable("HTTP 429: retries exhausted")
+            return ChatResponse(reply)
+        backend = types.SimpleNamespace(complete=complete, context_window=32768)
+        runs = count_runs(monkeypatch)
+        journal = str(tmp_path / "journal.jsonl")
+        Pipeline(backend, registry, PipelineConfig()).run_batch(
+            [banking_task(gold="SELECT 'F'")], journal_path=journal)
+        state = Journal(journal).load()["0"]
+        assert state.error.startswith("refiner backend failure: HTTP 429")
+        assert state.final_sql == empty
+        assert [(a.input_sql, a.outcome.status, a.corrected_sql)
+                for a in state.refine_attempts] == [
+            (broken, ExecStatus.SCHEMA_ERROR, empty), (empty, ExecStatus.EMPTY_RESULT, None)]
+        assert [c.agent for c in state.llm_calls] == ["decomposer", "refiner"]
+        assert state.ex_verdict.ex is False
+        assert runs == [("refiner", broken), ("refiner", empty), ("evaluation", "SELECT 'F'")]
 
     def test_a_write_during_the_question_voids_the_verdict(self, banking_bird_db, scripted_backend,
                                                            tmp_path, monkeypatch):
