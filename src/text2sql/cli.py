@@ -30,6 +30,7 @@ from .datasets import (
 # exec_match has no caller here: it stays as cli.exec_match for the benchmark's tracer
 from .evaluation import build_report, exec_match, score_item  # noqa: F401
 from .pipeline import (
+    RETRIED_ERRORS,
     Journal,
     MissingGold,
     Pipeline,
@@ -256,7 +257,9 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
 
     # the states come back in task order; each is scored against the gold in --items
     with_gold = [(t, s) for t, s in zip(tasks, states) if t.gold_sql]
-    summary = {"n": len(states), "journal": journal_path, "ex_pct": None}
+    failures = sum(1 for s in states if (s.error or "").startswith(RETRIED_ERRORS))
+    summary = {"n": len(states), "journal": journal_path, "ex_pct": None,
+               "backend_failures": failures}
     if with_gold:
         summary["ex_pct"] = 100.0 * sum(
             scored_ex(s, bench.registry().path(t.db_id), t.gold_sql, settings["timeout"])
@@ -268,6 +271,10 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
                    f"-> {journal_path}")
     else:
         click.echo(f"{len(states)} items -> {journal_path}")
+    if failures:
+        click.echo(f"{failures} question(s) failed on the backend; rerunning the same "
+                   f"command resumes them", err=True)
+        sys.exit(1)
 
 
 def _load_predictions(path: str) -> dict[str, str]:
@@ -330,10 +337,11 @@ def cmd_eval(predictions_path, benchmark_name, items_path, db_root, out_prefix,
 
     json_path = Path(f"{out_prefix}.json")
     text_path = Path(f"{out_prefix}.txt")
-    _write(json_path, [report.to_json()])
-    _write(text_path, [report.to_text(), "\n"])
+    report_json, report_text = report.to_json(), report.to_text()
+    _write(json_path, [report_json])
+    _write(text_path, [report_text, "\n"])
     click.echo(f"report written to {json_path} and {text_path}", err=True)
-    click.echo(report.to_json() if json_output else report.to_text())
+    click.echo(report_json if json_output else report_text)
 
 
 @main.command("export-sft")

@@ -282,6 +282,28 @@ class TestBench:
         assert after.startswith(before)
         assert len(Journal(str(journal)).load()) == 3
 
+    def test_a_backend_failure_exits_one_and_is_counted(self, runner, banking_bird_root,
+                                                         bird_items_file, script_config,
+                                                         tmp_path):
+        items = json.loads(Path(bird_items_file).read_text(encoding="utf-8"))
+        # the selector's needle in the question: the strict script matches two entries
+        items[1]["question"] += " Discard any table schema."
+        Path(bird_items_file).write_text(json.dumps(items), encoding="utf-8")
+        journal = tmp_path / "journal.jsonl"
+        args = ["bench", "--benchmark", "bird", "--items", bird_items_file,
+                "--db-root", str(banking_bird_root), "--journal", str(journal),
+                "--config", script_config]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 1, result.output
+        summary = json.loads(result.stdout.splitlines()[-1])
+        assert summary["backend_failures"] == 1
+        assert abs(summary["ex_pct"] - 200.0 / 3) < 1e-9
+        assert Journal(str(journal)).load()["1"].error.startswith("backend failure:")
+        assert "1 question(s) failed on the backend; rerunning" in result.stderr
+        text = runner.invoke(main, args)  # a resume runs the failed question, and fails again
+        assert text.exit_code == 1
+        assert text.stdout.startswith("EX: 66.67 over 3 items")
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_is_a_usage_error(self, runner, banking_bird_root,
                                               bird_items_file, script_config, tmp_path,

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
 import json
-from typing import Optional
 
 import pytest
 
@@ -157,24 +155,3 @@ class TestTask:
                     gold_sql="SELECT 1", difficulty="simple")
         assert decoder(Task)(json.loads(json.dumps(task, default=encode))) == task
 
-
-def test_decoder_refuses_a_bool_for_a_number():
-    for tp in (int, float):
-        with pytest.raises(TypeError):
-            decoder(tp)(True)
-    assert decoder(float)(1) == 1
-    assert decoder(bool)(False) is False
-
-
-@dataclasses.dataclass
-class _Cached:
-    kept: int
-    cache: Optional[list] = dataclasses.field(default=None, init=False)
-
-
-def test_a_field_outside_init_is_neither_written_nor_read():
-    record = _Cached(1)
-    record.cache = [2]
-    assert json.loads(json.dumps(record, default=encode)) == {"kept": 1}
-    read = decoder(_Cached)({"kept": 1, "cache": [3]})
-    assert (read.kept, read.cache) == (1, None)
