@@ -21,10 +21,12 @@ DEFAULT_MODEL = "gpt-4"
 DEFAULT_API_KEY_ENV = "LLM_API_KEY"
 DEFAULT_CONTEXT_WINDOW = 32768
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
-# The HTTP retry policy: attempts in all, the first backoff, the per-request timeout.
+# The HTTP retry policy: attempts in all, the first backoff, the per-request timeout,
+# and the longest wait a Retry-After header may set.
 MAX_ATTEMPTS = 3
 BASE_DELAY_S = 1.0
 REQUEST_TIMEOUT_S = 120.0
+MAX_RETRY_AFTER_S = 60.0
 SCRIPT_ENTRY_PREFIX = "### MATCH:"
 
 
@@ -130,9 +132,11 @@ class HttpBackend:
 
     Transient failures (any ``requests`` error from the post: a timeout, a
     refused connection, a body cut off mid-transfer; 429, 5xx) are retried
-    with exponential backoff up to ``MAX_ATTEMPTS`` total attempts; anything
-    else raises BackendUnavailable immediately. The bearer token is read from
-    the environment at request time so credentials never live in config files.
+    with exponential backoff up to ``MAX_ATTEMPTS`` total attempts; a 429 or
+    5xx whose ``Retry-After`` gives seconds waits that long instead, at most
+    ``MAX_RETRY_AFTER_S``. Anything else raises BackendUnavailable immediately.
+    The bearer token is read from the environment at request time so
+    credentials never live in config files.
     """
 
     def __init__(self, endpoint: str, model: str = DEFAULT_MODEL,
@@ -176,6 +180,7 @@ class HttpBackend:
         payload = self._payload(request)
         last_error = ""
         for attempt in range(1, MAX_ATTEMPTS + 1):
+            delay = BASE_DELAY_S * 2 ** (attempt - 1)
             try:
                 resp = self._session.post(self.endpoint, json=payload,
                                           headers=self._headers(),
@@ -188,11 +193,14 @@ class HttpBackend:
                     return self._parse(request, resp, self._clock() - start)
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_error = f"HTTP {resp.status_code}"
+                    after = resp.headers.get("Retry-After", "").strip()
+                    if after.isascii() and after.isdigit():  # seconds, not an HTTP date
+                        delay = min(float(after), MAX_RETRY_AFTER_S)
                 else:
                     raise BackendUnavailable(
                         f"HTTP {resp.status_code}: {resp.text[:500]}")
             if attempt < MAX_ATTEMPTS:
-                self._sleep(BASE_DELAY_S * 2 ** (attempt - 1))
+                self._sleep(delay)
         logger.warning("chat completion failed after %d attempt(s): %s",
                        MAX_ATTEMPTS, last_error)
         raise BackendUnavailable(

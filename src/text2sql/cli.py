@@ -36,6 +36,7 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     export_instruction_data,
+    load_states,
     scored_ex,
 )
 
@@ -295,8 +296,10 @@ def _load_predictions(path: str) -> dict[str, str]:
                 raise click.UsageError(f"predictions file: task {task_id!r}: "
                                        f"expected SQL text, got {json.dumps(sql)}")
         return data
+    lines = text.split("\n")  # read_text ended each line with "\n", as reading a file does
+    del text  # only the lines are held while they decode
     predictions = {task_id: state.final_sql
-                   for task_id, state in Journal(path).load().items()}
+                   for task_id, state in load_states(lines, path).items()}
     if not predictions:
         raise click.UsageError("predictions file contains no predictions")
     return predictions

@@ -3,11 +3,14 @@
 Write with ``json.dumps(obj, default=encode)``; read back with
 ``decoder(tp)(json.loads(text))``.
 
-``decoder(tp)`` is compiled once per type, as ``dataclasses`` compiles
-``__init__``: a dataclass's decoder is one function that checks each field
-inline and calls the constructor once. Scalars are tested by exact class
-first, ``None`` first for ``Optional``, a container of scalars in one loop,
-and a nested dataclass by a direct call to its own decoder.
+The decoder reads what ``json.loads`` builds: exact ``dict``, ``list``,
+``str``, ``int``, ``float``, ``bool`` and ``None``, so each check is one class
+test. ``decoder(tp)`` takes a dataclass and is compiled once per type, as
+``dataclasses`` compiles ``__init__``: one function that checks each field
+inline and calls the constructor once. It tests ``None`` first for
+``Optional``, checks a container of scalars in one loop, and calls a nested
+dataclass's own decoder directly. The same pass names a refusal: the line of
+the function that raised it tells which field's key to put in front of it.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ import types
 import typing
 from enum import Enum
 from typing import Callable
-
-_DECODE_ERRORS = (TypeError, ValueError)
-
 
 @functools.cache
 def _field_names(tp) -> tuple[str, ...]:
@@ -42,28 +42,16 @@ def _refuse(kind, value):
     raise TypeError(f"expected {kind}, got {value!r}")
 
 
-def _is_required(f: dataclasses.Field) -> bool:
-    return f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-
-
-def _name_failure(tp, value: dict, exc: Exception):
-    """Raise the error of the first key of ``value`` that fails ``tp``'s field, prefixed by it.
-
-    Only the failure path calls this; when every field decodes on its own,
-    the constructor refused the values and ``exc`` is raised as it is.
-    """
-    hints = typing.get_type_hints(tp)
-    fields = {f.name: f for f in dataclasses.fields(tp)}
-    for name in _field_names(tp):
-        if name not in value:
-            if _is_required(fields[name]):
-                raise TypeError(f"{name}: missing") from None
-            continue
-        try:
-            decoder(hints[name])(value[name])
-        except _DECODE_ERRORS as failed:
-            raise type(failed)(f"{name}: {failed}") from None
-    raise exc
+def _named(starts: tuple, exc: Exception):
+    """Raise ``exc`` named by the field whose code raised it: ``starts`` holds each field's
+    first line and key, then the constructor's line and None, whose error is raised as it is."""
+    line = exc.__traceback__.tb_lineno  # in the decoder's own frame, where it was caught
+    key = [key for start, key in starts if start <= line][-1]
+    if key is None:
+        raise exc
+    if exc.__class__ is KeyError:  # a field raises no KeyError but its own key's lookup
+        raise TypeError(f"{key}: missing") from None
+    raise type(exc)(f"{key}: {exc}") from None
 
 
 class _Source:
@@ -71,13 +59,16 @@ class _Source:
 
     def __init__(self):
         self.lines: list[str] = []
-        self.names: dict[str, object] = {"_refuse": _refuse, "_name_failure": _name_failure,
-                                         "_DECODE_ERRORS": _DECODE_ERRORS}
+        self.names: dict[str, object] = {"_refuse": _refuse, "_named": _named}
         self._bound: dict[int, str] = {}
         self._count = itertools.count()
 
     def add(self, indent: int, line: str) -> None:
         self.lines.append("    " * indent + line)
+
+    def line(self) -> int:
+        """The number of the next line added, in the function's source after its ``def``."""
+        return len(self.lines) + 2
 
     def var(self) -> str:
         return f"_v{next(self._count)}"
@@ -94,7 +85,7 @@ class _Source:
         text = "\n".join(["def decode(v):", *self.lines])
         exec(text, self.names)  # noqa: S102 - names and keys enter only as reprs and bindings
         fn = self.names["decode"]
-        fn.__qualname__ = f"decoder({getattr(tp, '__name__', tp)})"
+        fn.__qualname__ = f"decoder({tp.__name__})"
         return fn
 
 
@@ -115,24 +106,15 @@ def _pure(tp) -> bool:
                 or (isinstance(origin, type) and issubclass(origin, Enum)))
 
 
-def _scalar_test(src: _Source, tp, var: str) -> str | None:
-    """The condition under which ``var`` is not a ``tp``; None when every value is one."""
-    if tp is object:
-        return None
+def _scalar_test(tp, var: str) -> str:
+    """The condition under which ``var`` is not a ``tp``."""
     if tp is type(None):
         return f"{var} is not None"
-    if tp is bool:  # bool cannot be subclassed
-        return f"{var}.__class__ is not bool"
-    if tp is int:  # a bool is an int to isinstance
-        return (f"{var}.__class__ is not int and ({var}.__class__ is bool"
-                f" or not isinstance({var}, int))")
-    if tp is float:
-        return (f"{var}.__class__ is not float and ({var}.__class__ is bool"
-                f" or not isinstance({var}, (int, float)))")
-    if not isinstance(tp, type):
+    if tp is float:  # a JSON number with no fraction or exponent is read as an int
+        return f"{var}.__class__ is not float and {var}.__class__ is not int"
+    if tp not in (str, int, bool):  # nothing else comes out of json.loads
         raise TypeError(f"no decoder for {tp!r}")
-    kind = "str" if tp is str else src.bind(tp)
-    return f"{var}.__class__ is not {kind} and not isinstance({var}, {kind})"
+    return f"{var}.__class__ is not {tp.__name__}"  # a bool is no int
 
 
 def _emit_under(src: _Source, header: str, tp, var: str, indent: int) -> None:
@@ -163,7 +145,7 @@ def _emit(src: _Source, tp, var: str, indent: int) -> None:
             src.add(indent + depth, "try:")
             src.add(indent + depth + 1, f"{out} = {var}")
             _emit(src, option, out, indent + depth + 1)
-            src.add(indent + depth, "except _DECODE_ERRORS:")
+            src.add(indent + depth, "except (TypeError, ValueError):")
         src.add(indent + len(options), f"_refuse({src.bind(tp)}, {var})")
         src.add(indent, f"{var} = {out}")
         return
@@ -173,15 +155,14 @@ def _emit(src: _Source, tp, var: str, indent: int) -> None:
     if origin in (list, tuple, dict):
         _emit_container(src, origin, args, var, indent)
         return
-    test = _scalar_test(src, tp, var)
-    if test is not None:
-        src.add(indent, f"if {test}:")
+    if tp is not object:  # every value is an object
+        src.add(indent, f"if {_scalar_test(tp, var)}:")
         src.add(indent + 1, f"_refuse({src.bind((int, float) if tp is float else tp)}, {var})")
 
 
 def _emit_container(src: _Source, origin, args: tuple, var: str, indent: int) -> None:
     kind = "dict" if origin is dict else "list"  # a JSON array is a list
-    src.add(indent, f"if {var}.__class__ is not {kind} and not isinstance({var}, {kind}):")
+    src.add(indent, f"if {var}.__class__ is not {kind}:")
     src.add(indent + 1, f"_refuse({kind}, {var})")
     if origin is tuple and args and args[-1] is not Ellipsis:
         # fixed length: one type per position
@@ -213,50 +194,46 @@ def _emit_container(src: _Source, origin, args: tuple, var: str, indent: int) ->
         src.add(indent, f"{var} = {out}" if origin is list else f"{var} = tuple({out})")
 
 
-def _compile_record(tp) -> Callable:
+@functools.cache
+def decoder(tp) -> Callable:
+    """The function that rebuilds dataclass ``tp`` from ``json.loads`` of what ``encode`` wrote.
+
+    It raises TypeError or ValueError, named by the keys down to the field that
+    failed, when a value does not fit the type: a bool is no ``int`` or
+    ``float``, and a fixed-length ``tuple[A, B]`` needs that many items of those
+    types. Missing fields take their defaults, unknown keys are ignored, and
+    every ``__post_init__`` check runs; its error is named by the record above.
+    """
+    if not dataclasses.is_dataclass(tp):
+        raise TypeError(f"no decoder for {tp!r}: not a dataclass")
     src = _Source()
     hints = typing.get_type_hints(tp)
-    fields = {f.name: f for f in dataclasses.fields(tp)}
-    src.add(1, "if v.__class__ is not dict and not isinstance(v, dict):")
+    src.add(1, "if v.__class__ is not dict:")
     src.add(2, "_refuse(dict, v)")
     src.add(1, "try:")
-    positional, keywords = [], []
-    for name in _field_names(tp):
-        f, arg, key = fields[name], src.var(), repr(name)
-        if _is_required(f):  # a missing key is a KeyError, named on the failure path
-            src.add(2, f"{arg} = v[{key}]")
-            _emit(src, hints[name], arg, 2)
+    positional, keywords, starts = [], [], []
+    for f in dataclasses.fields(tp):
+        if not f.init:  # neither written nor read
+            continue
+        arg, key = src.var(), repr(f.name)
+        starts.append((src.line(), f.name))
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            src.add(2, f"{arg} = v[{key}]")  # a KeyError when missing
+            _emit(src, hints[f.name], arg, 2)
         else:  # a default is passed as it stands, as __init__ would use it
             src.add(2, f"if {key} in v:")
             src.add(3, f"{arg} = v[{key}]")
-            _emit(src, hints[name], arg, 3)
+            _emit(src, hints[f.name], arg, 3)
             src.add(2, "else:")
             default = (src.bind(f.default) if f.default_factory is dataclasses.MISSING
                        else f"{src.bind(f.default_factory)}()")
             src.add(3, f"{arg} = {default}")
         if f.kw_only:
-            keywords.append(f"{name}={arg}")
+            keywords.append(f"{f.name}={arg}")
         else:
             positional.append(arg)
+    starts.append((src.line(), None))
     src.add(2, f"return {src.bind(tp)}({', '.join(positional + keywords)})")
     src.add(1, "except (KeyError, TypeError, ValueError) as exc:")
-    src.add(2, f"_name_failure({src.bind(tp)}, v, exc)")
-    return src.compile(tp)
-
-
-@functools.cache
-def decoder(tp) -> Callable:
-    """The function that rebuilds a ``tp`` from what ``json.dumps(default=encode)`` wrote.
-
-    It raises TypeError or ValueError, named by the field that failed, when a
-    value does not fit the type: a bool is no ``int`` or ``float``, and a
-    fixed-length ``tuple[A, B]`` needs that many items of those types.
-    Missing dataclass fields take their defaults, unknown keys are ignored,
-    and every ``__post_init__`` check runs.
-    """
-    if dataclasses.is_dataclass(tp):
-        return _compile_record(tp)
-    src = _Source()
-    _emit(src, tp, "v", 1)
-    src.add(1, "return v")
+    src.add(2, f"_named({src.bind(tuple(starts))}, exc)")
     return src.compile(tp)

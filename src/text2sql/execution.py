@@ -164,6 +164,8 @@ def _classify_error(exc: BaseException) -> ExecStatus:
     if _slot.denied:
         return ExecStatus.DENIED
     if isinstance(exc, sqlite3.OperationalError):
+        if str(exc) == "not authorized":  # refused by SQLite before the authorizer was asked
+            return ExecStatus.DENIED
         msg = str(exc).lower()
         if any(mark in msg for mark in _SCHEMA_ERROR_MARKS):
             return ExecStatus.SCHEMA_ERROR

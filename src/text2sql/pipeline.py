@@ -250,6 +250,25 @@ class Pipeline:
         return [results[t.task_id] for t in tasks]
 
 
+def load_states(lines: Iterable[str], source) -> dict[str, PipelineState]:
+    """The last state per task id of journal ``lines``; lines that do not decode are skipped."""
+    states: dict[str, PipelineState] = {}
+    skipped = 0
+    decode = decoder(PipelineState)
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            state = decode(json.loads(line))
+        except (TypeError, ValueError):  # JSONDecodeError is a ValueError
+            skipped += 1
+            continue
+        states[state.task.task_id] = state
+    if skipped:
+        logger.warning("skipped %d journal line(s) that do not decode in %s", skipped, source)
+    return states
+
+
 class Journal:
     """Append-only JSONL trace store keyed by task id; the resume point for batches."""
 
@@ -259,25 +278,10 @@ class Journal:
 
     def load(self) -> dict[str, PipelineState]:
         """The last state per task id; lines that do not decode are skipped."""
-        states: dict[str, PipelineState] = {}
         if not self.path.exists():
-            return states
-        skipped = 0
-        decode = decoder(PipelineState)
+            return {}
         with open(self.path, encoding="utf-8-sig") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    state = decode(json.loads(line))
-                except (TypeError, ValueError):  # JSONDecodeError is a ValueError
-                    skipped += 1
-                    continue
-                states[state.task.task_id] = state
-        if skipped:
-            logger.warning("skipped %d journal line(s) that do not decode in %s",
-                           skipped, self.path)
-        return states
+            return load_states(handle, self.path)
 
     def append(self, state: PipelineState) -> None:
         line = (json.dumps(state, default=encode, sort_keys=True) + "\n").encode("utf-8")

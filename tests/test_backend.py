@@ -7,6 +7,7 @@ import requests
 
 from text2sql.backend import (
     DEFAULT_MAX_OUTPUT_TOKENS,
+    MAX_RETRY_AFTER_S,
     REQUEST_TIMEOUT_S,
     BackendUnavailable,
     ChatRequest,
@@ -98,10 +99,11 @@ class TestScriptedBackend:
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def json(self):
         if self._payload is None:
@@ -242,6 +244,30 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailable):
             backend.complete(make_request())
         assert delays == [1.0, 2.0]
+
+    def waits(self, *retried):
+        """The waits before each retry of ``retried`` responses, the last one a success."""
+        delays = []
+        session = _FakeSession([*retried, _FakeResponse(200, ok_payload())])
+        HttpBackend("http://llm.test", session=session, sleep=delays.append).complete(
+            make_request())
+        return delays
+
+    def test_retry_after_in_seconds_sets_the_wait(self):
+        assert self.waits(_FakeResponse(429, headers={"Retry-After": "7"}),
+                          _FakeResponse(503, headers={"retry-after": " 0 "})) == [7.0, 0.0]
+
+    def test_retry_after_is_capped(self):
+        assert MAX_RETRY_AFTER_S < 3600
+        assert self.waits(_FakeResponse(429, headers={"Retry-After": "3600"}),
+                          _FakeResponse(429, headers={"Retry-After": "7"})) == [
+            MAX_RETRY_AFTER_S, 7.0]
+
+    def test_a_date_or_malformed_retry_after_keeps_the_backoff(self):
+        for header in ("Wed, 21 Oct 2026 07:28:00 GMT", "soon", "-5", "1.5", "\u0667", ""):
+            assert self.waits(_FakeResponse(429, headers={"Retry-After": header}),
+                              _FakeResponse(503, headers={"Retry-After": "7"})) == [
+                1.0, 7.0], header
 
     def test_malformed_body_raises(self):
         for body in ({"nope": True}, [], ok_payload(None), ok_payload(5),

@@ -460,6 +460,29 @@ class TestEval:
         report = json.loads((tmp_path / "report.json").read_text())
         assert abs(report["ex_pct"] - 200.0 / 3) < 1e-9
 
+    def test_journal_predictions_are_read_once(self, tmp_path, monkeypatch, caplog):
+        line = GOLDEN_LINE.read_text(encoding="utf-8").strip()
+        later = json.loads(line)
+        later["final_sql"] = "SELECT 2"
+        other = json.loads(line)
+        other["task"]["task_id"] = "other"
+        # a byte-order mark, CRLF and CR line ends, a blank line, a torn last line
+        journal = tmp_path / "journal.jsonl"
+        journal.write_bytes(("\ufeff" + line + "\r\n\r\n" + json.dumps(later) + "\r"
+                             + json.dumps(other) + "\n" + line[:40]).encode("utf-8"))
+        with caplog.at_level("WARNING"):
+            expected = {task_id: state.final_sql
+                        for task_id, state in Journal(str(journal)).load().items()}
+
+        def read_again(self):
+            raise AssertionError("the predictions file was read twice")
+        monkeypatch.setattr(Journal, "load", read_again)
+        with caplog.at_level("WARNING"):
+            assert cli._load_predictions(str(journal)) == expected
+        assert expected == {later["task"]["task_id"]: "SELECT 2", "other": other["final_sql"]}
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"skipped 1 journal line(s) that do not decode in {journal}"] * 2
+
 
 def test_eval_and_export_read_no_description_csv(runner, banking_bird_root, bird_items_file,
                                                 script_config, tmp_path, monkeypatch):

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
+import types
+import typing
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from text2sql.codec import decoder, encode
-from text2sql.datasets import Task, _CachedSchema
+from text2sql.datasets import Task, _CacheHeader, _CachedSchema
 from text2sql.decomposer import DecompositionStep
 from text2sql.evaluation import ExVerdict
 from text2sql.execution import ExecStatus, OutcomeSummary
@@ -48,14 +49,26 @@ STATE = written(PipelineState(
     llm_calls=[LlmCall("decomposer", "p", "", "r", 10, 2, 0.25)],
     ex_verdict=ExVerdict(True, (1, 2, 3)),
 ))
+CALL = written(LlmCall("decomposer", "p", "", "r", 10, 2, 0.25))
+
+
+@dataclasses.dataclass
+class _Tuples:
+    triple: tuple[int, int, int] = (0, 0, 0)
+    pair: tuple[int, str] = (0, "")
+    many: tuple[int, ...] = ()
 
 
 def replaced(value: dict, path: tuple, new) -> dict:
-    value = copy.deepcopy(value)
+    """A copy of ``value`` with the item at ``path`` set to ``new``, or deleted for MISSING."""
+    value = json.loads(json.dumps(value))
     parent = value
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = new
+    if new is dataclasses.MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
     return value
 
 
@@ -63,8 +76,9 @@ def replaced(value: dict, path: tuple, new) -> dict:
 # error, the words the message must hold: the keys from the top down)
 REFUSED = [
     # a bool for an int or a float
-    (int, 1, (), True, TypeError, "expected <class 'int'>"),
-    (float, 1.0, (), False, TypeError, "expected (<class 'int'>, <class 'float'>)"),
+    (LlmCall, CALL, ("prompt_tokens",), True, TypeError, "prompt_tokens: expected <class 'int'>"),
+    (LlmCall, CALL, ("latency",), False, TypeError,
+     "latency: expected (<class 'int'>, <class 'float'>)"),
     (_CachedSchema, CACHED, ("header", "sample_k"), True, TypeError, "header: sample_k: expected"),
     (_CachedSchema, CACHED, ("header", "db_stamp", 1), False, TypeError, "header: db_stamp:"),
     (PipelineState, STATE, ("llm_calls", 0, "latency"), True, TypeError,
@@ -110,8 +124,9 @@ REFUSED = [
      "schema: foreign key endpoint customer.ghost does not exist"),
     (PipelineState, STATE, ("task", "question"), "", ValueError, "task: task db_id and question"),
     # a fixed-length tuple: its length and one type per position
-    (tuple[int, int, int], [1, 2, 3], (), [1, 2], TypeError, "expected 3 items, got [1, 2]"),
-    (tuple[int, str], [1, "a"], (1,), 2, TypeError, "expected <class 'str'>, got 2"),
+    (ExVerdict, {"ex": True, "db_stamp": [1, 2, 3]}, ("db_stamp",), [1, 2], TypeError,
+     "db_stamp: expected 3 items, got [1, 2]"),
+    (_Tuples, {"pair": [1, "a"]}, ("pair", 1), 2, TypeError, "pair: expected <class 'str'>, got 2"),
     (ExVerdict, {"ex": True, "db_stamp": [1, 2, 3]}, ("db_stamp",), [1], TypeError,
      "db_stamp: expected 3 items, got [1]"),
     (PipelineState, STATE, ("ex_verdict", "db_stamp"), [1, 2, 3, 4], TypeError,
@@ -122,7 +137,7 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("tp, value, path, new, error, message", REFUSED,
-                         ids=[f"{getattr(r[0], '__name__', r[0])}-{'.'.join(map(str, r[2]))}"
+                         ids=[f"{r[0].__name__}-{'.'.join(map(str, r[2]))}"
                               f"-{r[3]!r:.20}" for r in REFUSED])
 def test_refused_at_every_depth(tp, value, path, new, error, message):
     read = decoder(tp)
@@ -133,28 +148,44 @@ def test_refused_at_every_depth(tp, value, path, new, error, message):
 
 
 def test_decoder_refuses_a_bool_for_a_number():
-    for tp in (int, float):
-        with pytest.raises(TypeError):
-            decoder(tp)(True)
-    assert decoder(float)(1) == 1
-    assert decoder(bool)(False) is False
+    read = decoder(LlmCall)
+    for key in ("prompt_tokens", "latency"):
+        with pytest.raises(TypeError, match=f"^{key}: "):
+            read(replaced(CALL, (key,), True))
+    assert read(replaced(CALL, ("latency",), 1)).latency == 1
+    assert decoder(ExVerdict)({"ex": False, "db_stamp": [1, 2, 3]}).ex is False
+
+
+def test_decoder_takes_dataclasses_only():
+    for tp in (int, tuple[int, str], Optional[Task], list[Task]):
+        with pytest.raises(TypeError, match="not a dataclass"):
+            decoder(tp)
+
+    @dataclasses.dataclass
+    class Spanned:  # json.loads builds no class outside JSON's
+        when: range
+
+    with pytest.raises(TypeError, match="no decoder for <class 'range'>"):
+        decoder(Spanned)
 
 
 class TestFixedLengthTuple:
     def test_length_and_positions_are_checked(self):
-        assert decoder(tuple[int, int, int])([1, 2, 3]) == (1, 2, 3)
-        assert decoder(tuple[int, str])([1, "a"]) == (1, "a")
+        read = decoder(_Tuples)
+        assert read({"triple": [1, 2, 3]}).triple == (1, 2, 3)
+        assert read({"pair": [1, "a"]}).pair == (1, "a")
         for value in ([1, 2], [1, 2, 3, 4], []):
-            with pytest.raises(TypeError, match="expected 3 items"):
-                decoder(tuple[int, int, int])(value)
-        with pytest.raises(TypeError):
-            decoder(tuple[int, str])(["a", 1])
+            with pytest.raises(TypeError, match="^triple: expected 3 items"):
+                read({"triple": value})
+        with pytest.raises(TypeError, match="^pair: "):
+            read({"pair": ["a", 1]})
 
     def test_an_ellipsis_stays_homogeneous(self):
-        assert decoder(tuple[int, ...])([1, 2, 3, 4, 5]) == (1, 2, 3, 4, 5)
-        assert decoder(tuple[int, ...])([]) == ()
-        with pytest.raises(TypeError):
-            decoder(tuple[int, ...])([1, "a"])
+        read = decoder(_Tuples)
+        assert read({"many": [1, 2, 3, 4, 5]}).many == (1, 2, 3, 4, 5)
+        assert read({"many": []}).many == ()
+        with pytest.raises(TypeError, match="^many: "):
+            read({"many": [1, "a"]})
 
     def test_journal_load_skips_a_line_whose_stamp_has_the_wrong_length(self, tmp_path):
         lines = [STATE, replaced(replaced(STATE, ("task", "task_id"), "8"),
@@ -257,3 +288,79 @@ def test_a_pipeline_state_round_trips(state):
     revived = decoder(PipelineState)(json.loads(text))
     assert revived == state
     assert json.dumps(revived, default=encode, sort_keys=True) == text
+
+
+# ---------------------------------------------------------------------------
+# one refusal in a generated value is named by the record keys down to it
+
+JSON_VALUES = (None, True, 1, 1.5, "x", [], {})
+# a one-field change the record's own constructor refuses, and the refusal; it is
+# named by the keys down to that record, never by the key of the field changed
+LONG_EXAMPLE = "x" * (MAX_LITERAL_LEN + 1)
+CONSTRUCTOR_CHECKS = {
+    Task: ("question", "", "task db_id and question must be nonempty"),
+    ColumnSchema: ("value_examples", [LONG_EXAMPLE],
+                   f"value example longer than {MAX_LITERAL_LEN} chars: {LONG_EXAMPLE!r}"),
+}
+
+
+def _records(tp, value, path: tuple):
+    """(type, path, value) of each record that a field of type ``tp`` holds."""
+    if value is None:
+        return
+    if dataclasses.is_dataclass(tp):
+        yield tp, path, value
+        return
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # an Optional record, as no union holds two
+        for option in filter(dataclasses.is_dataclass, args):
+            yield from _records(option, value, path)
+    elif origin in (list, tuple) and args:
+        for i, item in enumerate(value):
+            yield from _records(args[0], item, path + (i,))
+
+
+def _sites(tp, value: dict, path=(), keys=()):
+    """(path to change, replacement, the message) of each one-value change ``tp`` refuses.
+
+    The message is given whole for a missing key or a constructor's check, and
+    as its start (up to ``expected``) for a value of another JSON type.
+    """
+    if tp in CONSTRUCTOR_CHECKS:
+        name, new, text = CONSTRUCTOR_CHECKS[tp]
+        yield path + (name,), new, ": ".join(keys + (text,))
+    hints = typing.get_type_hints(tp)
+    for f in dataclasses.fields(tp):
+        if not f.init:
+            continue
+        at, named = path + (f.name,), keys + (f.name,)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            yield at, dataclasses.MISSING, ": ".join(named + ("missing",))
+        kind = hints[f.name]
+        if kind in (str, int, float, bool):
+            for new in JSON_VALUES:
+                if not (new.__class__ is kind or (kind is float and new.__class__ is int)):
+                    yield at, new, ": ".join(named + ("expected",))
+        for sub_tp, sub_path, sub in _records(kind, value.get(f.name), at):
+            yield from _sites(sub_tp, sub, sub_path, named)
+
+
+cached_schemas = st.builds(
+    _CachedSchema,
+    st.builds(_CacheHeader, st.integers(),
+              st.tuples(st.integers(), st.integers(), st.integers()), texts,
+              st.integers(), st.integers()),
+    database_schemas())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(pipeline_states, cached_schemas))
+def test_a_refusal_is_named_by_the_keys_down_to_it(record):
+    tp, value = type(record), written(record)
+    for path, new, message in _sites(tp, value):
+        with pytest.raises((TypeError, ValueError)) as refused:
+            decoder(tp)(replaced(value, path, new))
+        if message.endswith(": expected"):
+            assert str(refused.value).startswith(message + " ")
+        else:
+            assert str(refused.value) == message

@@ -220,6 +220,13 @@ class TestGuardedConnection:
         db = _make_db(tmp_path / "db.sqlite", [1])
         assert execute_sql(db, probe).status is ExecStatus.DENIED
 
+    def test_what_sqlite_itself_refuses_is_denied(self, tmp_path):
+        db = _make_db(tmp_path / "db.sqlite", [1])
+        # extension loading is off, so SQLite refuses the call before the authorizer sees it
+        outcome = execute_sql(db, "SELECT load_extension('x')")
+        assert outcome.status is ExecStatus.DENIED
+        assert outcome.error_message == execution._DENIED_MESSAGE
+
     def test_select_after_timeout_is_ok(self, tmp_path):
         db = _make_db(tmp_path / "db.sqlite", [1])
         runaway = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
