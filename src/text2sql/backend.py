@@ -98,7 +98,11 @@ class ScriptedBackend:
         entries: list[tuple[str, str]] = []
         needle = None
         lines: list[str] = []
-        for raw in Path(path).read_text(encoding="utf-8-sig").splitlines(keepends=True):
+        try:
+            text = Path(path).read_text(encoding="utf-8-sig")
+        except (OSError, ValueError) as exc:  # a UTF-8 decode error is a ValueError
+            raise ValueError(f"cannot read script file {path}: {exc}") from None
+        for raw in text.splitlines(keepends=True):
             if raw.startswith(SCRIPT_ENTRY_PREFIX):
                 if needle is not None:
                     entries.append((needle, "".join(lines).rstrip("\n")))

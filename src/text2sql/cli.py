@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ from .pipeline import (
     MissingGold,
     Pipeline,
     PipelineConfig,
+    UnreadableJournal,
     export_instruction_data,
     load_states,
     scored_ex,
@@ -90,7 +92,7 @@ def resolve_settings(config_path: Optional[str], flags: dict) -> dict:
         try:
             with open(config_path, encoding="utf-8-sig") as handle:
                 file_settings = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
             raise click.UsageError(f"cannot read config file {config_path}: {exc}")
         if not isinstance(file_settings, dict):
             raise click.UsageError("config file must contain a JSON object")
@@ -155,23 +157,35 @@ def _write(path, chunks: Iterable[str]) -> None:
         handle.writelines(chunks)
 
 
-def _backend_options(fn):
-    options = [
-        click.option("--config", "config_path", type=click.Path(exists=True),
-                     default=None, help="JSON config file."),
-        click.option("--backend", type=click.Choice(["http", "script"]), default=None),
-        click.option("--endpoint", default=None),
-        click.option("--model", default=None),
-        click.option("--script", "script_path", type=click.Path(exists=True),
-                     default=None, help="Scripted-backend fixture file."),
-        click.option("--shots", type=click.Choice(["0", "1", "2"]), default=None),
-        click.option("--max-rounds", "max_rounds", type=int, default=None),
-        click.option("--json", "json_output", is_flag=True,
-                     help="Machine-readable output on stdout."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+def _options(*options):
+    """A decorator adding ``options`` to a command, in the order given."""
+    return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
+
+
+# Each option is declared once. A setting flag's dest is its setting key, so a
+# command passes its ``**flags`` to ``resolve_settings`` unchanged.
+_FILE = click.Path(exists=True, dir_okay=False)
+_config_option = click.option("--config", "config_path", type=_FILE, help="JSON config file.")
+_json_option = click.option("--json", "json_output", is_flag=True,
+                            help="Machine-readable output on stdout.")
+_backend_options = _options(
+    _config_option,
+    click.option("--backend", type=click.Choice(["http", "script"])),
+    click.option("--endpoint"),
+    click.option("--model"),
+    click.option("--script", "script_path", type=_FILE, help="Scripted-backend fixture file."),
+    click.option("--shots", type=click.Choice(["0", "1", "2"])),
+    click.option("--max-rounds", "max_rounds", type=int),
+    _json_option,
+)
+_benchmark_options = _options(
+    click.option("--benchmark", "benchmark_name", required=True,
+                 type=click.Choice(["bird", "spider"])),
+    click.option("--items", "items_path", required=True, type=_FILE),
+    click.option("--db-root", "db_root", required=True,
+                 type=click.Path(exists=True, file_okay=False)),
+)
+_scoring_options = _options(click.option("--timeout", type=float), _config_option, _json_option)
 
 
 @click.group()
@@ -180,22 +194,18 @@ def main():
 
 
 @main.command("ask")
-@click.option("--db", "db_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@click.option("--db", "db_path", required=True, type=_FILE)
 @click.option("--question", required=True)
 @click.option("--evidence", default="")
 @click.option("--execute", "execute_flag", is_flag=True,
               help="Also run the final SQL and print its rows.")
-@click.option("--trace", "trace_path", type=click.Path(), default=None,
+@click.option("--trace", "trace_path", type=click.Path(dir_okay=False),
               help="Write the full pipeline trace as JSON.")
 @_backend_options
 def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
-            backend, endpoint, model, script_path, shots, max_rounds, json_output):
+            json_output, **flags):
     """Translate one natural-language question against one database file."""
-    settings = resolve_settings(config_path, {
-        "backend": backend, "endpoint": endpoint, "model": model,
-        "script_path": script_path, "shots": shots, "max_rounds": max_rounds,
-    })
+    settings = resolve_settings(config_path, flags)
     llm = build_backend(settings)
     registry = DatabaseRegistry()
     db_id = Path(db_path).stem
@@ -226,25 +236,15 @@ def cmd_ask(db_path, question, evidence, execute_flag, trace_path, config_path,
 
 
 @main.command("bench")
-@click.option("--benchmark", "benchmark_name", required=True,
-              type=click.Choice(["bird", "spider"]))
-@click.option("--items", "items_path", required=True, type=click.Path(exists=True))
-@click.option("--db-root", "db_root", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--journal", "journal_path", required=True, type=click.Path())
-@click.option("--parallelism", type=int, default=None)
-@click.option("--limit", type=click.IntRange(min=1), default=None,
-              help="Only run the first N items.")
+@_benchmark_options
+@click.option("--journal", "journal_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--parallelism", type=int)
+@click.option("--limit", type=click.IntRange(min=1), help="Only run the first N items.")
 @_backend_options
-def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
-              limit, config_path, backend, endpoint, model, script_path, shots,
-              max_rounds, json_output):
+def cmd_bench(benchmark_name, items_path, db_root, journal_path, limit, config_path,
+              json_output, **flags):
     """Run a benchmark batch with a resumable journal."""
-    settings = resolve_settings(config_path, {
-        "backend": backend, "endpoint": endpoint, "model": model,
-        "script_path": script_path, "shots": shots, "max_rounds": max_rounds,
-        "parallelism": parallelism,
-    })
+    settings = resolve_settings(config_path, flags)
     bench = _benchmark(benchmark_name, items_path, db_root)
     tasks = bench.tasks[:limit]
     llm = build_backend(settings)
@@ -254,7 +254,10 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
         label = "error" if state.error else "ok"
         click.echo(f"[{done}/{total}] {state.task.task_id}: {label}", err=True)
 
-    states = pipe.run_batch(tasks, journal_path=journal_path, progress=progress)
+    try:
+        states = pipe.run_batch(tasks, journal_path=journal_path, progress=progress)
+    except UnreadableJournal as exc:  # raised by the resume, before any question runs
+        raise click.UsageError(str(exc))
 
     # the states come back in task order; each is scored against the gold in --items
     with_gold = [(t, s) for t, s in zip(tasks, states) if t.gold_sql]
@@ -281,8 +284,8 @@ def cmd_bench(benchmark_name, items_path, db_root, journal_path, parallelism,
 def _load_predictions(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise click.UsageError(f"cannot read predictions: {exc}")
+    except (OSError, ValueError) as exc:  # a UTF-8 decode error is a ValueError
+        raise click.UsageError(f"cannot read predictions file {path}: {exc}")
     if not text.strip():
         raise click.UsageError("predictions file is empty")
     try:
@@ -306,23 +309,16 @@ def _load_predictions(path: str) -> dict[str, str]:
 
 
 @main.command("eval")
-@click.option("--predictions", "predictions_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--benchmark", "benchmark_name", required=True,
-              type=click.Choice(["bird", "spider"]))
-@click.option("--items", "items_path", required=True, type=click.Path(exists=True))
-@click.option("--db-root", "db_root", required=True,
-              type=click.Path(exists=True, file_okay=False))
+@click.option("--predictions", "predictions_path", required=True, type=_FILE)
+@_benchmark_options
 @click.option("--out", "out_prefix", default="eval_report",
               help="Prefix for the .json and .txt report files.")
 @click.option("--ves/--no-ves", "with_ves", default=True)
-@click.option("--timeout", type=float, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--json", "json_output", is_flag=True)
+@_scoring_options
 def cmd_eval(predictions_path, benchmark_name, items_path, db_root, out_prefix,
-             with_ves, timeout, config_path, json_output):
+             with_ves, config_path, json_output, **flags):
     """Score a predictions file (task_id -> SQL, or a trace journal) against gold."""
-    settings = resolve_settings(config_path, {"timeout": timeout})
+    settings = resolve_settings(config_path, flags)
     predictions = _load_predictions(predictions_path)
     bench = _benchmark(benchmark_name, items_path, db_root)
 
@@ -348,24 +344,18 @@ def cmd_eval(predictions_path, benchmark_name, items_path, db_root, out_prefix,
 
 
 @main.command("export-sft")
-@click.option("--journal", "journal_path", required=True, type=click.Path(exists=True))
-@click.option("--benchmark", "benchmark_name", required=True,
-              type=click.Choice(["bird", "spider"]))
-@click.option("--items", "items_path", required=True, type=click.Path(exists=True))
-@click.option("--db-root", "db_root", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--timeout", type=float, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--json", "json_output", is_flag=True)
+@click.option("--journal", "journal_path", required=True, type=_FILE)
+@_benchmark_options
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@_scoring_options
 def cmd_export_sft(journal_path, benchmark_name, items_path, db_root, out_path,
-                   timeout, config_path, json_output):
+                   config_path, json_output, **flags):
     """Filter a trace journal to instruction records for supervised fine-tuning."""
-    settings = resolve_settings(config_path, {"timeout": timeout})
+    settings = resolve_settings(config_path, flags)
     bench = _benchmark(benchmark_name, items_path, db_root)
     gold_lookup = {t.task_id: t.gold_sql for t in bench.tasks if t.gold_sql}
-    states = list(Journal(journal_path).load().values())
     try:
+        states = list(Journal(journal_path).load().values())
         for state in states:  # a task --items lacks finds its database as an item's does
             if state.final_sql:
                 bench.registry().register_under(Path(db_root), state.task.db_id,
@@ -373,7 +363,7 @@ def cmd_export_sft(journal_path, benchmark_name, items_path, db_root, out_path,
         records = export_instruction_data(states, bench.registry(),
                                           gold_lookup=gold_lookup,
                                           timeout=settings["timeout"])
-    except (MissingDatabase, MissingGold) as exc:
+    except (MissingDatabase, MissingGold, UnreadableJournal) as exc:
         raise click.UsageError(str(exc))
 
     _write(out_path, (json.dumps(record, default=encode, sort_keys=True) + "\n"

@@ -217,11 +217,11 @@ def load_benchmark(name: str, items_path: str, db_root: str) -> Benchmark:
     if not root.is_dir():
         raise FileNotFoundError(db_root)
 
-    with open(items_file, encoding="utf-8-sig", errors="replace") as handle:
-        try:
+    try:
+        with open(items_file, encoding="utf-8-sig") as handle:
             items = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise MalformedItem(f"items file is not JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
+        raise MalformedItem(f"not a UTF-8 JSON file: {exc}") from None
     if not isinstance(items, list):
         raise MalformedItem("items file must contain a JSON array")
 

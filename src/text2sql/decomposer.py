@@ -66,10 +66,13 @@ def recover_trailing_sql(text: str) -> str | None:
 
 
 def extract_last_sql(text: str) -> str | None:
-    """Last SQL statement in a response; used for refiner corrections too."""
-    blocks = extract_sql_blocks(text)
-    if blocks:
-        return blocks[-1][2] or None
+    """The refiner's correction: the last nonempty fenced block, else a trailing bare statement.
+
+    This is ``parse_decomposition``'s final SQL for a reply without headers.
+    """
+    for _, _, sql in reversed(extract_sql_blocks(text)):
+        if sql:
+            return sql
     return recover_trailing_sql(text)
 
 

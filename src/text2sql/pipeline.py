@@ -51,6 +51,10 @@ class MissingGold(Exception):
     """Instruction export needs a gold query that is not available."""
 
 
+class UnreadableJournal(Exception):
+    """A journal file cannot be read, or holds a byte that does not decode as UTF-8."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     shots: int = 2
@@ -277,11 +281,14 @@ class Journal:
         self._lock = threading.Lock()
 
     def load(self) -> dict[str, PipelineState]:
-        """The last state per task id; lines that do not decode are skipped."""
+        """The last state per task id; bad lines are skipped, and a non-UTF-8 byte raises."""
         if not self.path.exists():
             return {}
-        with open(self.path, encoding="utf-8-sig") as handle:
-            return load_states(handle, self.path)
+        try:
+            with open(self.path, encoding="utf-8-sig") as handle:
+                return load_states(handle, self.path)
+        except (OSError, ValueError) as exc:  # a byte that is not UTF-8 stops the read
+            raise UnreadableJournal(f"cannot read journal {self.path}: {exc}") from None
 
     def append(self, state: PipelineState) -> None:
         line = (json.dumps(state, default=encode, sort_keys=True) + "\n").encode("utf-8")

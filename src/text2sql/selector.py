@@ -105,10 +105,11 @@ def _find_json_object(text: str) -> Optional[dict]:
 
 
 def parse_pruning_decision(response_text: str, db: DatabaseSchema) -> PruningDecision:
-    """Extract and validate the JSON verdict object from a selector response.
+    """Resolve the JSON verdict object of a selector response against ``db``.
 
-    Unknown tables and columns are dropped with warnings; tables missing from
-    the response default to keep_all.
+    This half owns name resolution only: names take their canonical spelling,
+    unknown tables and columns are dropped with warnings, and a verdict other
+    than keep_all, drop_all or a list naming a known column becomes keep_all.
     """
     raw = _find_json_object(response_text)
     if raw is None:
@@ -117,18 +118,11 @@ def parse_pruning_decision(response_text: str, db: DatabaseSchema) -> PruningDec
     warnings: list[str] = []
     verdicts: dict[str, str | list[str]] = {}
     for key, value in raw.items():
-        if not db.has_table(str(key)):
+        if not db.has_table(key):
             warnings.append(f"unknown table {key!r} dropped from decision")
             continue
-        table = db.table(str(key))
-        if isinstance(value, str):
-            verdict = value.strip().lower()
-            if verdict not in (KEEP_ALL, DROP_ALL):
-                warnings.append(f"unrecognized verdict {value!r} for table "
-                                f"{table.name}; treating as keep_all")
-                verdict = KEEP_ALL
-            verdicts[table.name] = verdict
-        elif isinstance(value, list):
+        table = db.table(key)
+        if isinstance(value, list):
             cols: dict[str, None] = {}  # ordered set of canonical names
             for item in value:
                 if isinstance(item, str) and table.has_column(item):
@@ -138,19 +132,17 @@ def parse_pruning_decision(response_text: str, db: DatabaseSchema) -> PruningDec
                                     f"table {table.name}")
             if cols:
                 verdicts[table.name] = list(cols)
-            else:
-                warnings.append(f"no valid columns listed for table {table.name}; "
-                                f"treating as keep_all")
-                verdicts[table.name] = KEEP_ALL
+                continue
+            warnings.append(f"no valid columns listed for table {table.name}; "
+                            f"treating as keep_all")
+            verdict = KEEP_ALL
         else:
-            warnings.append(f"unrecognized verdict {value!r} for table "
-                            f"{table.name}; treating as keep_all")
-            verdicts[table.name] = KEEP_ALL
-
-    survivors = sum(1 for t in db.tables
-                    if verdicts.get(t.name, KEEP_ALL) != DROP_ALL)
-    if survivors == 0 and len(db.tables) < MIN_TABLES:
-        raise AllTablesDropped("decision drops every table")
+            verdict = value.strip().lower() if isinstance(value, str) else value
+            if verdict not in (KEEP_ALL, DROP_ALL):
+                warnings.append(f"unrecognized verdict {value!r} for table "
+                                f"{table.name}; treating as keep_all")
+                verdict = KEEP_ALL
+        verdicts[table.name] = verdict
 
     for w in warnings:
         logger.warning("%s", w)
@@ -158,45 +150,36 @@ def parse_pruning_decision(response_text: str, db: DatabaseSchema) -> PruningDec
 
 
 def apply_pruning(db: DatabaseSchema, decision: PruningDecision) -> AppliedPruning:
-    """Materialize a decision, enforcing the hard retention guarantees.
+    """Materialize a decision in one pass; this half owns every retention rule.
 
-    Rules: kept tables always retain their primary-key columns and at least
-    min(6, all) columns (padded primary keys first, then declaration order);
-    when fewer than 3 tables survive on a database with 3 or more, dropped
-    tables are restored in declaration order; foreign keys are filtered to
-    surviving endpoints.
+    An omitted table is keep_all. On a database with at least ``MIN_TABLES``
+    tables, the first ``MIN_TABLES`` minus the survivors of the dropped tables
+    are restored in declaration order. A column list keeps its columns and the
+    primary keys, padded in declaration order up to min(6, all) columns. This
+    is the one source of ``AllTablesDropped``: no table is kept.
     """
-    verdicts = {t.name: decision.verdicts.get(t.name, KEEP_ALL) for t in db.tables}
-    surviving = [t for t in db.tables if verdicts[t.name] != DROP_ALL]
-
-    if len(db.tables) >= MIN_TABLES and len(surviving) < MIN_TABLES:
-        for t in db.tables:
-            if t not in surviving:
-                verdicts[t.name] = KEEP_ALL
-                surviving.append(t)
-            if len(surviving) >= MIN_TABLES:
-                break
-        surviving = [t for t in db.tables if verdicts[t.name] != DROP_ALL]
-
-    if not surviving:
-        raise AllTablesDropped("pruning would leave zero tables")
+    verdicts = [(t, decision.verdicts.get(t.name, KEEP_ALL)) for t in db.tables]
+    restore = (MIN_TABLES - sum(verdict != DROP_ALL for _, verdict in verdicts)
+               if len(db.tables) >= MIN_TABLES else 0)
 
     selection: dict[str, list[str]] = {}
-    for t in surviving:
-        verdict = verdicts[t.name]
+    for t, verdict in verdicts:
+        if verdict == DROP_ALL:
+            if restore <= 0:
+                continue
+            restore, verdict = restore - 1, KEEP_ALL
         if verdict == KEEP_ALL:
             selection[t.name] = [c.name for c in t.columns]
             continue
         kept = {c.lower() for c in verdict}
-        kept.update(name.lower() for name in t.primary_key_names())
-        floor = min(MIN_COLUMNS_PER_TABLE, len(t.columns))
-        padding = t.primary_key_names() + [c.name for c in t.columns
-                                           if not c.is_primary_key]
-        for name in padding:
-            if len(kept) >= floor:
+        kept.update(c.name.lower() for c in t.columns if c.is_primary_key)
+        for c in t.columns:
+            if len(kept) >= min(MIN_COLUMNS_PER_TABLE, len(t.columns)):
                 break
-            kept.add(name.lower())
+            kept.add(c.name.lower())
         selection[t.name] = [c.name for c in t.columns if c.name.lower() in kept]
 
+    if not selection:
+        raise AllTablesDropped("pruning would leave zero tables")
     return AppliedPruning(verdicts=decision.verdicts, selection=selection,
                           warnings=decision.warnings)

@@ -69,33 +69,33 @@ def schema_and_decision(draw):
 @given(schema_and_decision())
 def check_pruning_enforcement(pair):
     db, decision = pair
+    # the exact table rule: the survivors and, on a database of 3 or more
+    # tables, the first max(0, 3 - survivors) dropped tables in declaration order
+    dropped = [t.name for t in db.tables if decision.verdicts.get(t.name) == "drop_all"]
+    survivors = len(db.tables) - len(dropped)
+    restored = dropped[:max(0, 3 - survivors)] if len(db.tables) >= 3 else []
+    kept_tables = [t.name for t in db.tables if t.name not in dropped or t.name in restored]
     try:
         pruned = apply_pruning(db, decision)
     except AllTablesDropped:
-        # only reachable when restoration cannot apply
-        assert len(db.tables) < 3
-        dropped = sum(1 for t in db.tables
-                      if decision.verdicts.get(t.name) == "drop_all")
-        assert dropped == len(db.tables)
+        assert not kept_tables
         return
-
     selection = pruned.selection
-    # containment: retained items always exist in the source schema
-    for table, cols in selection.items():
-        assert db.has_table(table)
-        for col in cols:
-            assert db.has_column(table, col)
+    assert list(selection) == kept_tables
 
-    # at-least-3-tables restoration
-    if len(db.tables) >= 3:
-        assert len(selection) >= 3
-
-    # column floor and primary-key retention
-    for table, cols in selection.items():
-        source = db.table(table)
-        assert len(cols) >= min(6, len(source.columns))
-        for pk in source.primary_key_names():
-            assert pk in cols
+    # the exact column rule: a keep_all (or restored) table keeps every column;
+    # a column list keeps its columns, the primary keys, and then the first
+    # remaining columns in declaration order up to min(6, n)
+    for name, cols in selection.items():
+        names = [c.name for c in db.table(name).columns]
+        verdict = decision.verdicts.get(name, "keep_all")
+        if not isinstance(verdict, list):
+            assert cols == names
+            continue
+        kept = set(verdict) | set(db.table(name).primary_key_names())
+        rest = [n for n in names if n not in kept]
+        kept.update(rest[:max(0, min(6, len(names)) - len(kept))])
+        assert cols == [n for n in names if n in kept]
 
     # foreign-key closure on the pruned schema
     kept = {t: {c.lower() for c in cols} for t, cols in selection.items()}

@@ -717,6 +717,70 @@ class TestByteOrderMark:
         assert abs(json.loads(scored.stdout)["ex_pct"] - 200.0 / 3) < 1e-9
 
 
+# (option, fault): each file option with each fault it can meet. An input file
+# meets a byte that is not UTF-8 (0xff in place of a letter the command reads, so
+# a lossy read would run on), a directory, and a byte-order mark, which works; an
+# output file meets a directory.
+FILE_FAULTS = [(option, fault)
+               for option in ("--items", "--config", "--script", "--predictions",
+                              "bench --journal", "export-sft --journal")
+               for fault in ("byte", "directory", "bom")]
+FILE_FAULTS += [("ask --trace", "directory"), ("export-sft --out", "directory")]
+
+
+class TestInputFiles:
+    """Every file a command reads is UTF-8 with a leading byte-order mark dropped;
+    a directory or a byte that does not decode is one usage line naming the file."""
+
+    @pytest.mark.parametrize("option, fault", FILE_FAULTS)
+    def test_file_option(self, runner, banking_bird_root, banking_db_file, bird_items_file,
+                         script_config, tmp_path, option, fault):
+        good = {
+            "--items": Path(bird_items_file),
+            "--config": Path(script_config),
+            "--script": Path(json.loads(Path(script_config).read_text())["script_path"]),
+            "--predictions": GOLDEN_LINE,
+            "bench --journal": GOLDEN_LINE,
+            "export-sft --journal": GOLDEN_LINE,
+        }
+        path = tmp_path / "input"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            data = good[option].read_bytes()
+            needle = b"script" if option == "--config" else b"SELECT"
+            assert needle in data
+            path.write_bytes(b"\xef\xbb\xbf" + data if fault == "bom"
+                             else data.replace(needle, needle[:3] + b"\xff" + needle[4:], 1))
+        common = ["--benchmark", "bird", "--items", bird_items_file,
+                  "--db-root", str(banking_bird_root)]
+        bench = ["bench", *common, "--journal", str(tmp_path / "j.jsonl"),
+                 "--config", script_config]
+        args = {
+            "--items": ["eval", "--predictions", str(GOLDEN_LINE), *common[:2], "--items",
+                        str(path), *common[4:], "--out", str(tmp_path / "report"), "--no-ves"],
+            "--config": [*bench, "--config", str(path)],
+            "--script": [*bench, "--script", str(path)],
+            "--predictions": ["eval", "--predictions", str(path), *common,
+                              "--out", str(tmp_path / "report"), "--no-ves"],
+            "bench --journal": [*bench, "--journal", str(path)],
+            "export-sft --journal": ["export-sft", "--journal", str(path), *common,
+                                     "--out", str(tmp_path / "r.jsonl")],
+            "ask --trace": ["ask", "--db", banking_db_file, "--question", QUESTION,
+                            "--config", script_config, "--trace", str(path)],
+            "export-sft --out": ["export-sft", "--journal", str(GOLDEN_LINE), *common,
+                                 "--out", str(path)],
+        }[option]
+        result = runner.invoke(main, args)
+        if fault == "bom":
+            assert result.exit_code == 0, result.output
+            return
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and str(path) in errors[0], result.output
+        assert "Traceback" not in result.output
+
+
 def _no_sql(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("SQL was executed")

@@ -128,3 +128,11 @@ class TestExtractLastSql:
 
     def test_recovers_bare_with_clause(self):
         assert extract_last_sql("WITH c AS (SELECT 1) SELECT * FROM c").startswith("WITH")
+
+    @pytest.mark.parametrize("text, sql", [
+        ("```sql\nSELECT gender FROM client\n```\n```sql\n```", "SELECT gender FROM client"),
+        ("```sql\n```\nSELECT 1", "SELECT 1"),
+    ])
+    def test_an_empty_fence_is_skipped_as_parse_decomposition_skips_it(self, text, sql):
+        assert extract_last_sql(text) == sql
+        assert parse_decomposition(text).final_sql == sql

@@ -28,6 +28,7 @@ from text2sql.pipeline import (
     scored_ex,
 )
 from text2sql.refiner import MAX_ROUNDS
+from text2sql.schema import render_foreign_keys, render_table_blocks
 
 GOLDEN_LINE = Path(__file__).parent / "data" / "golden" / "journal_line.jsonl"
 
@@ -182,6 +183,26 @@ class TestRunQuestion:
         assert state.error is None
         assert state.pruning is None
         assert state.final_sql == "SELECT gender FROM client"
+
+    def test_a_reply_dropping_every_table_of_a_small_db_keeps_the_full_schema(self, school_db):
+        registry = DatabaseRegistry()
+        registry.register("school", str(school_db))
+        schema = registry.get_schema("school")
+        assert len(schema.tables) == 2  # too few for the three-table restoration
+        backend = ScriptedBackend([
+            ("Discard any table schema",
+             json.dumps({t.name: "drop_all" for t in schema.tables})),
+            ("decompose the question into subquestions",
+             "```sql\nSELECT sname FROM satscores\n```"),
+        ], context_window=16)
+        state = Pipeline(backend, registry, PipelineConfig()).run_question(
+            Task(task_id="0", db_id="school", question="Which schools took the SAT?"))
+        assert state.error is None
+        assert state.pruning is None
+        assert [call.agent for call in state.llm_calls] == [pipeline.SELECTOR, pipeline.DECOMPOSER]
+        decomposer_prompt = state.llm_calls[1].prompt
+        assert render_table_blocks(schema) in decomposer_prompt
+        assert render_foreign_keys(schema) in decomposer_prompt
 
     def test_backend_miss_contained(self, registry):
         backend = ScriptedBackend([], context_window=32768)

@@ -114,6 +114,16 @@ class TestRefineLoop:
         assert len(attempts) == 3 + 1
         assert attempts[-1].outcome.status is outcome.status is not ExecStatus.OK
 
+    def test_a_correction_followed_by_an_empty_fence_is_taken(self, banking_db):
+        backend = ScriptedBackend([
+            ("no such column", "```sql\nSELECT gender FROM client\n```\n```sql\n```"),
+        ])
+        final, attempts, _ = refine_loop(backend.complete, str(banking_db), "q", "", "s", "f",
+                                         "SELECT gendr FROM client")
+        assert final == "SELECT gender FROM client"
+        assert attempts[0].corrected_sql == "SELECT gender FROM client"
+        assert attempts[-1].outcome.status is ExecStatus.OK
+
     def test_unparseable_correction_returns_prior(self, banking_db):
         backend = ScriptedBackend([("fix up SQL", "sorry, cannot help")])
         initial = "SELECT ghost FROM client"

@@ -107,12 +107,6 @@ class TestParsePruningDecision:
         with pytest.raises(NoJsonFound):
             parse_pruning_decision("no structured answer here", banking_schema)
 
-    def test_all_dropped_small_db(self):
-        schema = tiny_schema(2)
-        with pytest.raises(AllTablesDropped):
-            parse_pruning_decision(json.dumps({"t0": "drop_all", "t1": "drop_all"}),
-                                   schema)
-
     def test_column_list_case_insensitive(self, banking_schema):
         decision = parse_pruning_decision(json.dumps({"district": ["DISTRICT_ID", "a11"]}),
                                           banking_schema)
